@@ -59,12 +59,10 @@ from .model import (
     LoopAngles,
     TwoAmpState,
     conserved_quantity,
-    diffusion_pair,
     k_closed_form,
     k_small_eps_approx,
     l_closed_form,
     loop_step,
-    phase_rotation,
     post_shift,
     predicted_fraction,
 )
@@ -99,9 +97,9 @@ __all__ = [
     "read_dataset", "dataset_to_text", "make_oracle", "oracle_from_mask",
     "rank_below", "synth_dataset",
     # analytic model
-    "TwoAmpState", "LoopAngles", "post_shift", "diffusion_pair", "loop_step",
+    "TwoAmpState", "LoopAngles", "post_shift", "loop_step",
     "conserved_quantity", "k_closed_form", "l_closed_form",
-    "k_small_eps_approx", "predicted_fraction", "phase_rotation",
+    "k_small_eps_approx", "predicted_fraction",
     # driver
     "RunPlan", "ExperimentResult", "prepare", "amplification_loop",
     "run_experiment", "choose_alpha", "choose_beta",

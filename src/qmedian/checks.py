@@ -23,7 +23,7 @@ from typing import List
 import numpy as np
 
 from .dataset import oracle_from_mask
-from .dense import MAX_DENSE_BITS, dense_d, dense_f, dense_r, dense_s, dense_t
+from .dense import dense_d, dense_f, dense_r, dense_s, dense_t
 from .driver import amplification_loop, prepare
 from .errors import ParameterError
 from .model import conserved_quantity, k_closed_form, l_closed_form, loop_step, post_shift
@@ -88,20 +88,21 @@ def check_unitarity(n_top: int, seed: int, trials: int = 10) -> float:
     return worst
 
 
-def check_factorization_diffusion(n_top: int) -> float:
+def _factorization(n_top: int, middle, target) -> float:
+    """Worst entry of |F M F - T| over register sizes up to _DENSE_CAP."""
     worst = 0.0
     for n in range(1, min(n_top, _DENSE_CAP) + 1):
         f = dense_f(n)
-        worst = max(worst, float(np.abs(f @ dense_t(n) @ f - dense_d(n)).max()))
+        worst = max(worst, float(np.abs(f @ middle(n) @ f - target(n)).max()))
     return worst
+
+
+def check_factorization_diffusion(n_top: int) -> float:
+    return _factorization(n_top, dense_t, dense_d)
 
 
 def check_factorization_shift(n_top: int) -> float:
-    worst = 0.0
-    for n in range(1, min(n_top, _DENSE_CAP) + 1):
-        f = dense_f(n)
-        worst = max(worst, float(np.abs(f @ dense_r(n) @ f - dense_s(n)).max()))
-    return worst
+    return _factorization(n_top, dense_r, dense_s)
 
 
 def _grid_counts(n: int, eps_cap: float = 0.25, limit: int = 65):

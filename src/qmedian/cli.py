@@ -14,15 +14,19 @@ Exit codes: 0 success, 1 usage/parameter error, 2 data or I/O error,
 Numbers are serialized with 17 significant digits, which round-trips
 doubles exactly, so identical invocations produce byte-identical output.
 The seed can also come from the QMEDIAN_SEED environment variable; an
-explicit --seed wins.  Files are written atomically (temp file + rename).
+explicit --seed wins.  Files are written atomically (fresh temp file,
+fsync, rename).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import math
 import os
 import sys
+import tempfile
 from typing import List, Optional
 
 from .adaptive import median_search_counted
@@ -71,33 +75,34 @@ def _json_line(d: dict) -> str:
 
 
 def _record_dict(rec: EstimateRecord) -> dict:
-    return {
-        "eps_hat": rec.eps_hat,
-        "sign": rec.sign if rec.sign is not None else "unknown",
-        "ci_lo": rec.ci_lo,
-        "ci_hi": rec.ci_hi,
-        "f_hat": rec.f_hat,
-        "exact_p": rec.exact_p,
-        "alpha": rec.alpha,
-        "beta": rec.beta,
-        "theta": rec.theta,
-        "kappa": rec.kappa,
-        "eps0": rec.eps0,
-        "mode": rec.mode,
-        "seed": rec.seed,
-        "n": rec.n,
-        "verdict": rec.verdict,
-    }
+    out = dataclasses.asdict(rec)
+    if rec.sign is None:
+        out["sign"] = "unknown"
+    return out
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
+    """Fresh temp file beside ``path`` (umask-derived mode), fsync, rename;
+    the temp file is removed on any failure."""
+    tmp = None
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                                   suffix=".tmp", dir=os.path.dirname(path) or ".")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
+            fh.flush()
+            os.fsync(fd)
         os.replace(tmp, path)
+        tmp = None
     except OSError as e:
         raise DataError(f"cannot write {path}: {e}") from None
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 # ---------------------------------------------------------------- parsing

@@ -1,22 +1,21 @@
 """Turning a measured below-threshold fraction into a signed imbalance.
 
-The amplified fraction f depends on the imbalance magnitude only to
-leading order, so estimation proceeds in three stages:
+The amplified fraction f = (1/2)(1+eps)|k_beta|^2 depends on the imbalance
+magnitude only to leading order, so estimation proceeds in three stages:
 
-1. invert f on the positive branch by bisection (the curve is strictly
-   increasing on the bracket, so this is unconditionally safe);
-2. attach a confidence interval by inverting the endpoints of the
-   Hoeffding band f_hat +- kappa*sqrt(1/alpha);
-3. resolve the sign by re-running the experiment with the threshold bumped
+1. fit the magnitude on the positive branch m -> f(m, beta) by bisection,
+   with an interval from the Hoeffding band f_hat +- kappa*sqrt(1/alpha);
+2. resolve the sign by re-running the experiment with the threshold bumped
    just past the next at-or-above dataset value: that moves at least one
    value into the below set, so the magnitude grows when the imbalance was
-   already positive and shrinks when it was negative.
+   already positive and shrinks when it was negative;
+3. when the sign is negative, refit on the negative branch m -> f(-m, beta),
+   which removes the small odd-order asymmetry between f(+eps) and f(-eps).
 
-A fraction too large for the bracket is reported as a verdict (the true
-imbalance exceeds the prior bound), not an error; the adaptive driver
-reacts by accepting the scale.  When the sign comes back negative the
-magnitude is refit on the negative branch, which removes the small odd-order
-asymmetry between f(+eps) and f(-eps).
+Both are one signed-branch fit.  A fraction too large for the bracket is
+reported as a verdict (the true imbalance exceeds the prior bound), not an
+error; the adaptive driver reacts by accepting the scale.  In exact mode
+this holds on both branches (the negative one tops out at eps0 too).
 """
 
 from __future__ import annotations
@@ -90,12 +89,29 @@ def sign_bracket(beta: int) -> float:
     return min(1.0, MONOTONE_CAP / beta)
 
 
-def invert_fraction(f_hat: float, beta: int, eps_hi: float) -> float:
-    """Magnitude m in [0, eps_hi] with predicted_fraction(m, beta) == f_hat.
+def _bisect(f_hat: float, beta: int, top_m: float, sign: int) -> float:
+    """Magnitude m in [0, top_m] with predicted_fraction(sign*m, beta) == f_hat."""
+    top = predicted_fraction(sign * top_m, beta)
+    if f_hat > top + _TOP_TOL:
+        raise FractionOutOfRange(f_hat, top)
+    f_hat = min(f_hat, top)
+    if f_hat <= 0.0:
+        return 0.0
+    lo, hi = 0.0, top_m
+    while hi - lo > BRACKET_TOL:
+        mid = 0.5 * (lo + hi)
+        if predicted_fraction(sign * mid, beta) < f_hat:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
-    Bisects to a bracket width of 1e-12.  Raises FractionOutOfRange when
-    f_hat exceeds the curve's value at eps_hi (beyond rounding forgiveness).
-    """
+
+def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
+         eps_hi: float, sign: int) -> Tuple[float, Tuple[float, float]]:
+    """Magnitude and interval on the branch m -> f(sign*m, beta), bracketed
+    by [0, eps_hi] (sign +1) or the narrower [0, min(eps_hi, NEG_CAP/beta)]
+    (sign -1); the interval is ``confidence_interval``'s on that branch."""
     if beta < 1:
         raise ParameterError(f"loop count must be >= 1, got {beta}")
     if not f_hat >= 0.0:
@@ -105,66 +121,38 @@ def invert_fraction(f_hat: float, beta: int, eps_hi: float) -> float:
             f"bracket top must be in (0, {sign_bracket(beta)}] for beta={beta}, "
             f"got {eps_hi}"
         )
-    top = predicted_fraction(eps_hi, beta)
-    if f_hat > top:
-        if f_hat > top + _TOP_TOL:
-            raise FractionOutOfRange(f_hat, top)
-        f_hat = top
-    if f_hat == 0.0:
-        return 0.0
-    lo, hi = 0.0, eps_hi
-    while hi - lo > BRACKET_TOL:
-        mid = 0.5 * (lo + hi)
-        if predicted_fraction(mid, beta) < f_hat:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    top_m = eps_hi if sign > 0 else min(eps_hi, NEG_CAP / beta)
+    m = _bisect(f_hat, beta, top_m, sign)
+    if alpha is None:
+        return m, (m, m)
+    half = kappa * math.sqrt(1.0 / alpha)
+    top = predicted_fraction(sign * top_m, beta)
+    lo = _bisect(max(0.0, f_hat - half), beta, top_m, sign)
+    hi = _bisect(min(f_hat + half, top), beta, top_m, sign)
+    return m, (lo, hi)
 
 
-def _invert_negative(f_hat: float, beta: int, eps_hi: float) -> float:
-    """Magnitude m with predicted_fraction(-m, beta) == f_hat."""
-    top_m = min(eps_hi, NEG_CAP / beta, 1.0)
-    top = predicted_fraction(-top_m, beta)
-    if f_hat > top:
-        if f_hat > top + _TOP_TOL:
-            raise FractionOutOfRange(f_hat, top)
-        f_hat = top
-    if f_hat <= 0.0:
-        return 0.0
-    lo, hi = 0.0, top_m
-    while hi - lo > BRACKET_TOL:
-        mid = 0.5 * (lo + hi)
-        if predicted_fraction(-mid, beta) < f_hat:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def invert_fraction(f_hat: float, beta: int, eps_hi: float) -> float:
+    """Magnitude m in [0, eps_hi] with predicted_fraction(m, beta) == f_hat.
+
+    Bisects to a bracket width of 1e-12.  Raises FractionOutOfRange when
+    f_hat exceeds the curve's value at eps_hi (beyond rounding forgiveness).
+    """
+    return _fit(f_hat, None, 0.0, beta, eps_hi, 1)[0]
 
 
-def confidence_interval(
-    f_hat: float,
-    alpha: Optional[int],
-    kappa: float,
-    beta: int,
-    eps_hi: float,
-) -> Tuple[float, float]:
+def confidence_interval(f_hat: float, alpha: Optional[int], kappa: float,
+                        beta: int, eps_hi: float) -> Tuple[float, float]:
     """Magnitude interval from the Hoeffding band f_hat +- kappa*sqrt(1/alpha).
 
     The band holds with probability at least 1 - 2*exp(-2*kappa^2).  The
     upper endpoint clamps at eps_hi.  alpha=None means an exact readout
-    (no statistical width): the interval collapses to a point.
+    (no statistical width): the interval collapses to a point.  Raises
+    FractionOutOfRange when f_hat itself lies above the bracket.
     """
-    if alpha is None:
-        m = invert_fraction(f_hat, beta, eps_hi)
-        return (m, m)
-    if alpha < 1:
+    if alpha is not None and alpha < 1:
         raise ParameterError(f"alpha must be >= 1, got {alpha}")
-    half = kappa * math.sqrt(1.0 / alpha)
-    top = predicted_fraction(eps_hi, beta)
-    lo = invert_fraction(max(0.0, f_hat - half), beta, eps_hi)
-    hi = invert_fraction(min(f_hat + half, top), beta, eps_hi)
-    return (lo, hi)
+    return _fit(f_hat, alpha, kappa, beta, eps_hi, 1)[1]
 
 
 def _threshold_bump(d: Dataset, mu: float) -> float:
@@ -179,23 +167,20 @@ def _threshold_bump(d: Dataset, mu: float) -> float:
     return float(np.nextafter(at_or_above.min(), math.inf))
 
 
-def _measure_magnitude(
-    o: ThresholdOracle, plan: RunPlan, seed: int
-) -> Tuple[float, float]:
+def _measure_magnitude(o: ThresholdOracle, plan: RunPlan,
+                       seed: int) -> Tuple[float, float]:
     """One experiment inverted on the widest bracket.
 
     Returns (magnitude, ci_half_width); magnitude is +inf when the fraction
     exceeds even the widest bracket's range.
     """
     res = run_experiment(o, replace(plan, seed=seed))
-    cap = sign_bracket(plan.beta)
+    alpha = None if plan.mode == "exact" else plan.alpha
     try:
-        m = invert_fraction(res.f_hat, plan.beta, cap)
+        m, (lo, hi) = _fit(res.f_hat, alpha, plan.kappa, plan.beta,
+                           sign_bracket(plan.beta), 1)
     except FractionOutOfRange:
         return math.inf, 0.0
-    if plan.mode == "exact":
-        return m, 0.0
-    lo, hi = confidence_interval(res.f_hat, plan.alpha, plan.kappa, plan.beta, cap)
     return m, 0.5 * (hi - lo)
 
 
@@ -247,12 +232,7 @@ def _probe_sign(
     comparison is inconclusive under sampling noise.
     """
     if plan.mode == "exact":
-        est = (2 * o.n_below - o.size) / o.size
-        if est > 0.0:
-            return 1
-        if est < 0.0:
-            return -1
-        return None
+        return None if o.eps == 0.0 else (1 if o.eps > 0.0 else -1)
     res = plan.eps0 if resolution is None else resolution
     m_probe = max(1, math.ceil((2.0 * plan.kappa / res) ** 2 - 1e-9))
     _, est = classical_estimate(o, m_probe, derive_seed(plan.seed, SALT_PROBE))
@@ -262,34 +242,6 @@ def _probe_sign(
     if est < -gate:
         return -1
     return None
-
-
-def _refit_negative(
-    f_hat: float,
-    alpha: Optional[int],
-    kappa: float,
-    beta: int,
-    eps_hi: float,
-    fallback: Tuple[float, Tuple[float, float]],
-) -> Tuple[float, Tuple[float, float]]:
-    """Re-invert magnitude and interval on the negative branch.
-
-    Falls back to the positive-branch numbers if the fraction overflows the
-    narrower negative bracket (only possible when the sign decision itself
-    was noise).
-    """
-    try:
-        m = _invert_negative(f_hat, beta, eps_hi)
-    except FractionOutOfRange:
-        return fallback
-    if alpha is None:
-        return m, (m, m)
-    half = kappa * math.sqrt(1.0 / alpha)
-    top_m = min(eps_hi, NEG_CAP / beta, 1.0)
-    top = predicted_fraction(-top_m, beta)
-    lo = _invert_negative(max(0.0, f_hat - half), beta, eps_hi)
-    hi = _invert_negative(min(f_hat + half, top), beta, eps_hi)
-    return m, (lo, hi)
 
 
 def eps_est(
@@ -310,8 +262,9 @@ def eps_est(
     unless overridden, runs the experiment, inverts the fraction on
     [0, eps0], attaches the confidence interval, resolves the sign via the
     bumped threshold, and refits on the negative branch when the sign is
-    negative.  A fraction beyond the bracket yields verdict
-    "eps_exceeds_eps0" with eps_hat = sign * eps0 and interval (eps0, 1).
+    negative.  A fraction beyond the bracket (in exact mode, on either
+    branch) yields verdict "eps_exceeds_eps0" with eps_hat = sign * eps0
+    and interval (eps0, 1).
     """
     if beta is None:
         beta = choose_beta(eps0)
@@ -321,52 +274,42 @@ def eps_est(
     o = make_oracle(d, mu)
     res = run_experiment(o, plan)
     exact = mode == "exact"
+    fit_alpha = None if exact else alpha
+    overflow = False
     try:
-        m = invert_fraction(res.f_hat, beta, eps0)
+        m, ci = _fit(res.f_hat, fit_alpha, kappa, beta, eps0, 1)
     except FractionOutOfRange:
-        sgn = _probe_sign(o, plan)
-        eps_hat = eps0 if sgn is None else sgn * eps0
-        return EstimateRecord(
-            eps_hat=eps_hat, sign=sgn, ci_lo=eps0, ci_hi=1.0,
-            f_hat=res.f_hat, exact_p=res.exact_p, alpha=alpha, beta=beta,
-            theta=theta, kappa=kappa, eps0=eps0, mode=mode, seed=seed,
-            n=d.n, verdict="eps_exceeds_eps0",
-        )
-    if exact:
-        ci = (m, m)
-        hw = 0.0
+        overflow, sgn = True, _probe_sign(o, plan)
     else:
-        ci = confidence_interval(res.f_hat, alpha, kappa, beta, eps0)
         hw = 0.5 * (ci[1] - ci[0])
-    sgn = resolve_sign(d, mu, plan, baseline=(m, hw))
-    if exact:
-        # Aliasing guard.  Far outside the bracket the fraction curve bends
-        # back down, so an extreme imbalance can masquerade as a small
-        # in-range one.  The exact partition counts are free here; when
-        # they contradict the fitted estimate, report the overflow verdict
-        # instead of the aliased magnitude.
-        probe = _probe_sign(o, plan)
-        if probe is not None and (m == 0.0 or (sgn is not None and sgn != probe)):
-            return EstimateRecord(
-                eps_hat=probe * eps0, sign=probe, ci_lo=eps0, ci_hi=1.0,
-                f_hat=res.f_hat, exact_p=res.exact_p, alpha=alpha, beta=beta,
-                theta=theta, kappa=kappa, eps0=eps0, mode=mode, seed=seed,
-                n=d.n, verdict="eps_exceeds_eps0",
-            )
-        if sgn is None and probe is not None and m > 0.0:
-            sgn = probe
-    elif sgn is None and m > hw + 1e-9:
-        # magnitude resolved but the bump comparison drowned in sampling
-        # noise: let the gated classical probe pick the sign
-        sgn = _probe_sign(o, plan, resolution=_PROBE_RESOLUTION_FACTOR * eps0)
-    if sgn == -1:
-        m, ci = _refit_negative(
-            res.f_hat, None if exact else alpha, kappa, beta, eps0, (m, ci)
-        )
-    eps_hat = m if sgn is None else sgn * m
+        sgn = resolve_sign(d, mu, plan, baseline=(m, hw))
+        if exact:
+            # Aliasing guard.  Far outside the bracket the fraction curve
+            # bends back down, so an extreme imbalance can masquerade as a
+            # small in-range one.  The exact partition counts are free here;
+            # when they contradict the fitted estimate, report the overflow
+            # verdict instead of the aliased magnitude.
+            probe = _probe_sign(o, plan)
+            if probe is not None and (m == 0.0 or (sgn is not None and sgn != probe)):
+                overflow, sgn = True, probe
+            elif sgn is None and probe is not None and m > 0.0:
+                sgn = probe
+        elif sgn is None and m > hw + _SLACK:
+            # magnitude resolved but the bump comparison drowned in sampling
+            # noise: let the gated classical probe pick the sign
+            sgn = _probe_sign(o, plan, resolution=_PROBE_RESOLUTION_FACTOR * eps0)
+        if sgn == -1 and not overflow:
+            try:
+                m, ci = _fit(res.f_hat, fit_alpha, kappa, beta, eps0, -1)
+            except FractionOutOfRange:
+                # exact, bracket topped at eps0: |eps| > eps0 as on the positive
+                # side.  Under noise or a beta override the positive fit stands.
+                overflow = exact and eps0 <= NEG_CAP / beta
+    if overflow:
+        m, ci = eps0, (eps0, 1.0)
     return EstimateRecord(
-        eps_hat=eps_hat, sign=sgn, ci_lo=ci[0], ci_hi=ci[1],
-        f_hat=res.f_hat, exact_p=res.exact_p, alpha=alpha, beta=beta,
-        theta=theta, kappa=kappa, eps0=eps0, mode=mode, seed=seed,
-        n=d.n, verdict="ok",
+        eps_hat=m if sgn is None else sgn * m, sign=sgn, ci_lo=ci[0],
+        ci_hi=ci[1], f_hat=res.f_hat, exact_p=res.exact_p, alpha=alpha,
+        beta=beta, theta=theta, kappa=kappa, eps0=eps0, mode=mode, seed=seed,
+        n=d.n, verdict="eps_exceeds_eps0" if overflow else "ok",
     )

@@ -24,7 +24,6 @@ f = (1/2)(1+eps)|k_beta|^2.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -47,24 +46,21 @@ class LoopAngles:
     cos(phi) == 1 - 2 eps^2 with phi carrying the sign of eps, so that
     gamma*sin(phi) == 2 eps - 2 eps^2 holds for both signs;
     gamma == sqrt((1-eps)/(1+eps)), defined as 1 at eps == 0 (limit value).
-    tau is the phase offset of the sin/cos parametrization; it is 0 when
-    the evolution starts from the prepared state.
     """
 
     eps: float
     phi: float
     gamma: float
-    tau: float = 0.0
 
     @classmethod
-    def from_eps(cls, eps: float, tau: float = 0.0) -> "LoopAngles":
+    def from_eps(cls, eps: float) -> "LoopAngles":
         if not (-1.0 <= eps <= 1.0):
             raise ParameterError(f"eps must lie in [-1, 1], got {eps}")
         if eps == 0.0:
-            return cls(0.0, 0.0, 1.0, tau)
+            return cls(0.0, 0.0, 1.0)
         phi = math.copysign(math.acos(1.0 - 2.0 * eps * eps), eps)
         gamma = math.sqrt((1.0 - eps) / (1.0 + eps)) if eps != 1.0 else 0.0
-        return cls(eps, phi, gamma, tau)
+        return cls(eps, phi, gamma)
 
 
 def post_shift(eps: float) -> TwoAmpState:
@@ -72,13 +68,6 @@ def post_shift(eps: float) -> TwoAmpState:
     if not (-1.0 <= eps <= 1.0):
         raise ParameterError(f"eps must lie in [-1, 1], got {eps}")
     return TwoAmpState(complex(eps), complex(1.0 + eps, 1.0), eps)
-
-
-def diffusion_pair(s: TwoAmpState) -> TwoAmpState:
-    """One diffusion on the pair: (k, l) -> (e k + (1-e) l, (1+e) k - e l)."""
-    e = s.eps
-    return TwoAmpState(e * s.k + (1.0 - e) * s.l,
-                       (1.0 + e) * s.k - e * s.l, e)
 
 
 def loop_step(s: TwoAmpState) -> TwoAmpState:
@@ -102,27 +91,27 @@ def _iterate_from_prepared(eps: float, r: int) -> TwoAmpState:
     return s
 
 
-def k_closed_form(eps: float, r: int, tau: float = 0.0) -> complex:
+def k_closed_form(eps: float, r: int) -> complex:
     """k after r loop passes from the prepared state (closed form)."""
     if r < 0:
         raise ParameterError(f"repetition count must be >= 0, got {r}")
-    if abs(eps) == 1.0 and tau == 0.0:
+    if abs(eps) == 1.0:
         # gamma degenerates (0 or infinity); the recurrence is exact here
         return _iterate_from_prepared(eps, r).k
-    ang = LoopAngles.from_eps(eps, tau)
-    t = r * ang.phi + tau
+    ang = LoopAngles.from_eps(eps)
+    t = r * ang.phi
     return (ang.gamma * complex(1.0 + eps, 1.0) * math.sin(t)
             + eps * math.cos(t))
 
 
-def l_closed_form(eps: float, r: int, tau: float = 0.0) -> complex:
+def l_closed_form(eps: float, r: int) -> complex:
     """Companion closed form for l (same decomposition as ``k_closed_form``)."""
     if r < 0:
         raise ParameterError(f"repetition count must be >= 0, got {r}")
-    if abs(eps) == 1.0 and tau == 0.0:
+    if abs(eps) == 1.0:
         return _iterate_from_prepared(eps, r).l
-    ang = LoopAngles.from_eps(eps, tau)
-    t = r * ang.phi + tau
+    ang = LoopAngles.from_eps(eps)
+    t = r * ang.phi
     # eps/gamma written as eps*sqrt((1+eps)/(1-eps)) stays finite for eps<1
     eps_over_gamma = (
         eps * math.sqrt((1.0 + eps) / (1.0 - eps)) if eps != 1.0 else math.inf
@@ -147,8 +136,3 @@ def predicted_fraction(eps: float, beta: int) -> float:
         raise ParameterError(f"loop count must be >= 0, got {beta}")
     k = k_closed_form(eps, beta)
     return 0.5 * (1.0 + eps) * (k.real * k.real + k.imag * k.imag)
-
-
-def phase_rotation(angle: float) -> complex:
-    """e^(i*angle) (convenience for model-side experiments)."""
-    return cmath.exp(1j * angle)

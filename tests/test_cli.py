@@ -2,6 +2,8 @@
 
 import importlib.resources
 import json
+import os
+import stat
 
 import jsonschema
 import numpy as np
@@ -217,6 +219,22 @@ def test_gen_bad_params(tmp_path):
 def test_gen_unwritable_path(capsys):
     assert main(["gen", "--n", "4", "--eps", "0",
                  "--out", "/nonexistent-dir/sub/x.txt"]) == 2
+
+
+def test_gen_write_leaves_no_temp_and_spares_neighbours(tmp_path, capsys):
+    out = tmp_path / "data.txt"
+    neighbour = tmp_path / "data.txt.tmp"
+    neighbour.write_text("keep me\n")
+    assert main(["gen", "--n", "4", "--eps", "0", "--out", str(out)]) == 0
+    assert neighbour.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt", "data.txt.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+    # a failed rename (the target is a directory) removes its temp file
+    (tmp_path / "dir").mkdir()
+    assert main(["gen", "--n", "4", "--eps", "0", "--out", str(tmp_path / "dir")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt", "data.txt.tmp", "dir"]
 
 
 # ---------------------------------------------------------------- sweep

@@ -257,3 +257,38 @@ def test_estimate_detects_aliased_extreme_imbalance(d1024):
     assert rec.sign == -1
     assert rec.eps_hat == -0.1
     assert 0.0 < rec.f_hat < 0.05  # the aliased fraction itself is tiny
+
+
+def test_estimate_exact_overflow_is_symmetric_just_past_eps0(d1024):
+    # |eps| = 0.1015625 just exceeds eps0 = 0.1 on both sides; the negative
+    # fraction lies above the negative bracket, whose top is eps0
+    for mu, sign in ((459.5, -1), (563.5, 1)):
+        rec = eps_est(d1024, mu)
+        assert (rec.verdict, rec.sign, rec.eps_hat) == (
+            "eps_exceeds_eps0", sign, sign * 0.1)
+        assert (rec.ci_lo, rec.ci_hi) == (0.1, 1.0)
+
+
+def test_estimate_beta_override_keeps_positive_fit_on_negative_overflow(d1024):
+    # beta=2 narrows the negative bracket to NEG_CAP/2 = 0.05 < eps0, so an
+    # overflow there says nothing about eps0: the positive fit stands
+    rec = eps_est(d1024, 475.5, beta=2)  # eps = -0.0703125
+    assert (rec.verdict, rec.sign) == ("ok", -1)
+    assert rec.eps_hat == pytest.approx(-0.0703125, abs=2e-3)
+    assert rec.ci_lo == rec.ci_hi == -rec.eps_hat
+
+
+def test_estimate_all_equal_dataset_exact():
+    d = dataset_from_values(np.full(64, 7.0))
+    # values equal to mu count as above: mu = 7.0 leaves nothing below
+    for mu, sign in ((7.0, -1), (7.5, 1), (6.0, -1)):
+        rec = eps_est(d, mu)
+        assert (rec.verdict, rec.sign, rec.eps_hat) == (
+            "eps_exceeds_eps0", sign, sign * 0.1)
+        assert (rec.ci_lo, rec.ci_hi) == (0.1, 1.0)
+
+
+def test_estimate_sampled_mu_above_every_value(d1024):
+    rec = eps_est(d1024, 2000.0, mode="sampled", seed=1)
+    assert (rec.verdict, rec.sign, rec.eps_hat) == ("eps_exceeds_eps0", 1, 0.1)
+    assert (rec.ci_lo, rec.ci_hi) == (0.1, 1.0)

@@ -1,7 +1,6 @@
 """The two-amplitude analytic model: transfer, closed forms, conserved
 quantity, and the measured-fraction formula."""
 
-import cmath
 import math
 
 import pytest
@@ -13,12 +12,10 @@ from qmedian import (
     ParameterError,
     TwoAmpState,
     conserved_quantity,
-    diffusion_pair,
     k_closed_form,
     k_small_eps_approx,
     l_closed_form,
     loop_step,
-    phase_rotation,
     post_shift,
     predicted_fraction,
 )
@@ -47,13 +44,6 @@ def test_loop_step_transfer_coefficients():
     assert (s.k, s.l) == (complex(0.98), complex(-0.22000000000000003))
     s = loop_step(TwoAmpState(0j, 1 + 0j, e))
     assert (s.k, s.l) == (complex(0.18), complex(0.98))
-
-
-def test_diffusion_pair_alone():
-    s = diffusion_pair(TwoAmpState(1 + 0j, 0j, 0.25))
-    assert (s.k, s.l) == (complex(0.25), complex(1.25))
-    s = diffusion_pair(TwoAmpState(0j, 1 + 0j, 0.25))
-    assert (s.k, s.l) == (complex(0.75), complex(-0.25))
 
 
 def test_conserved_quantity_starts_at_two_and_stays():
@@ -105,16 +95,6 @@ def test_closed_form_at_full_imbalance():
         assert k_closed_form(-1.0, r) == (-1.0) ** r * complex(-1.0, 4.0 * r)
         it = _iterate_from_prepared(1.0, r)
         assert (it.k, it.l) == (k_closed_form(1.0, r), l_closed_form(1.0, r))
-
-
-def test_closed_form_phase_offset_advances_steps():
-    eps = 0.0625
-    phi = LoopAngles.from_eps(eps).phi
-    for r in (0, 3, 10):
-        assert k_closed_form(eps, r, tau=phi) == pytest.approx(
-            k_closed_form(eps, r + 1), abs=1e-14)
-        assert l_closed_form(eps, r, tau=phi) == pytest.approx(
-            l_closed_form(eps, r + 1), abs=1e-14)
 
 
 def test_closed_form_rejects_negative_step_count():
@@ -175,13 +155,6 @@ def test_amplitude_swells_until_half_then_rotates():
     assert r_star(0.002) == 91
     assert r_star(0.001) == 181
     assert r_star(0.0005) == 362
-
-
-def test_phase_rotation_unit_circle():
-    assert phase_rotation(0.0) == 1.0
-    assert phase_rotation(math.pi / 2) == pytest.approx(1j, abs=1e-16)
-    assert abs(phase_rotation(2.3)) == pytest.approx(1.0, abs=1e-15)
-    assert phase_rotation(0.7) == cmath.exp(0.7j)
 
 
 @settings(max_examples=60, deadline=None)
