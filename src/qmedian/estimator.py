@@ -5,17 +5,17 @@ magnitude only to leading order, so estimation proceeds in three stages:
 
 1. fit the magnitude on the positive branch m -> f(m, beta) by bisection,
    with an interval from the Hoeffding band f_hat +- kappa*sqrt(1/alpha);
-2. resolve the sign by re-running the experiment with the threshold bumped
-   just past the next at-or-above dataset value: that moves at least one
-   value into the below set, so the magnitude grows when the imbalance was
-   already positive and shrinks when it was negative;
+2. resolve the sign.  Exact mode reads it off the partition counts.
+   Sampled mode re-runs the experiment with the threshold bumped just past
+   the next at-or-above value, which moves mass into the below set, so the
+   magnitude grows for a positive imbalance and shrinks for a negative
+   one; a gated classical probe decides when that comparison is noise;
 3. when the sign is negative, refit on the negative branch m -> f(-m, beta),
    which removes the small odd-order asymmetry between f(+eps) and f(-eps).
 
-Both are one signed-branch fit.  A fraction too large for the bracket is
-reported as a verdict (the true imbalance exceeds the prior bound), not an
-error; the adaptive driver reacts by accepting the scale.  In exact mode
-this holds on both branches (the negative one tops out at eps0 too).
+An imbalance beyond the prior bound eps0 is a verdict, not an error (the
+adaptive driver accepts the scale): in exact mode when the partition has
+|eps| > eps0, in sampled mode when the fraction overflows the bracket.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ class EstimateRecord:
     sign is +1, -1, or None (undecided); eps_hat equals sign times the
     magnitude when the sign is known and the bare magnitude otherwise.
     (ci_lo, ci_hi) bound the magnitude.  verdict is "ok", or
-    "eps_exceeds_eps0" when the measured fraction exceeded what any
-    magnitude within the prior bound could produce (then eps_hat is the
-    signed prior bound and the interval is (eps0, 1.0)).
+    "eps_exceeds_eps0" when the imbalance lies outside the prior bound (then
+    eps_hat is the signed prior bound and the interval is (eps0, 1.0)).
     """
 
     eps_hat: float
@@ -191,6 +190,7 @@ def resolve_sign(
     baseline: Optional[Tuple[float, float]] = None,
 ) -> Optional[int]:
     """Sign of the imbalance at mu: +1, -1, or None when undecidable.
+    Sampled estimates use it; exact ones read the partition counts.
 
     Measures the magnitude at mu and at the bumped threshold; raising the
     threshold always moves mass into the below set, so the magnitude grows
@@ -222,17 +222,15 @@ def resolve_sign(
 def _probe_sign(
     o: ThresholdOracle, plan: RunPlan, resolution: Optional[float] = None
 ) -> Optional[int]:
-    """Sign decision from the unamplified uniform distribution, whose below
-    probability is (1 + eps)/2, so sign(2f - 1) = sign(eps).
+    """Sampled-mode sign decision from the unamplified uniform distribution,
+    whose below probability is (1 + eps)/2, so sign(2f - 1) = sign(eps).
 
-    Exact mode reads it off.  In sampled mode a classical draw sized so its
-    noise gate equals ``resolution`` (default eps0) decides, returning None
-    when the estimate is inside the gate.  Used when the amplified fraction
-    overflowed the bracket, and as the fallback when the bumped-threshold
-    comparison is inconclusive under sampling noise.
+    A classical draw sized so its noise gate equals ``resolution`` (default
+    eps0) decides, returning None when the estimate is inside the gate.
+    Used when the amplified fraction overflowed the bracket, and as the
+    fallback when the bumped-threshold comparison is inconclusive under
+    sampling noise.
     """
-    if plan.mode == "exact":
-        return None if o.eps == 0.0 else (1 if o.eps > 0.0 else -1)
     res = plan.eps0 if resolution is None else resolution
     m_probe = max(1, math.ceil((2.0 * plan.kappa / res) ** 2 - 1e-9))
     _, est = classical_estimate(o, m_probe, derive_seed(plan.seed, SALT_PROBE))
@@ -260,11 +258,12 @@ def eps_est(
 
     Chooses beta = max(1, floor(1/(20*eps0))) and alpha = ceil(1/theta^2)
     unless overridden, runs the experiment, inverts the fraction on
-    [0, eps0], attaches the confidence interval, resolves the sign via the
-    bumped threshold, and refits on the negative branch when the sign is
-    negative.  A fraction beyond the bracket (in exact mode, on either
-    branch) yields verdict "eps_exceeds_eps0" with eps_hat = sign * eps0
-    and interval (eps0, 1).
+    [0, eps0] and attaches the confidence interval.  Exact mode takes the
+    sign and the verdict from the partition, in that one experiment;
+    sampled mode resolves the sign via the bumped threshold, then the gated
+    probe.  A negative sign refits on the negative branch, unless that
+    bracket cannot hold the fraction.  Verdict "eps_exceeds_eps0" comes
+    with eps_hat = sign * eps0 and interval (eps0, 1).
     """
     if beta is None:
         beta = choose_beta(eps0)
@@ -273,38 +272,31 @@ def eps_est(
     plan = RunPlan(eps0, theta, kappa, alpha, beta, mode, seed, resimulate)
     o = make_oracle(d, mu)
     res = run_experiment(o, plan)
-    exact = mode == "exact"
-    fit_alpha = None if exact else alpha
-    overflow = False
-    try:
-        m, ci = _fit(res.f_hat, fit_alpha, kappa, beta, eps0, 1)
-    except FractionOutOfRange:
-        overflow, sgn = True, _probe_sign(o, plan)
+    if mode == "exact":
+        # the partition counts give the sign and the verdict; within the
+        # bracket the exact fraction always inverts, as f(-m) < f(m) <= f(eps0)
+        fit_alpha, overflow = None, abs(o.eps) > eps0
+        sgn = (1 if o.eps > 0.0 else -1) if o.eps else None
+        if not overflow:
+            m, ci = _fit(res.f_hat, None, kappa, beta, eps0, 1)
     else:
-        hw = 0.5 * (ci[1] - ci[0])
-        sgn = resolve_sign(d, mu, plan, baseline=(m, hw))
-        if exact:
-            # Aliasing guard.  Far outside the bracket the fraction curve
-            # bends back down, so an extreme imbalance can masquerade as a
-            # small in-range one.  The exact partition counts are free here;
-            # when they contradict the fitted estimate, report the overflow
-            # verdict instead of the aliased magnitude.
-            probe = _probe_sign(o, plan)
-            if probe is not None and (m == 0.0 or (sgn is not None and sgn != probe)):
-                overflow, sgn = True, probe
-            elif sgn is None and probe is not None and m > 0.0:
-                sgn = probe
-        elif sgn is None and m > hw + _SLACK:
-            # magnitude resolved but the bump comparison drowned in sampling
-            # noise: let the gated classical probe pick the sign
-            sgn = _probe_sign(o, plan, resolution=_PROBE_RESOLUTION_FACTOR * eps0)
-        if sgn == -1 and not overflow:
-            try:
-                m, ci = _fit(res.f_hat, fit_alpha, kappa, beta, eps0, -1)
-            except FractionOutOfRange:
-                # exact, bracket topped at eps0: |eps| > eps0 as on the positive
-                # side.  Under noise or a beta override the positive fit stands.
-                overflow = exact and eps0 <= NEG_CAP / beta
+        fit_alpha, overflow = alpha, False
+        try:
+            m, ci = _fit(res.f_hat, alpha, kappa, beta, eps0, 1)
+        except FractionOutOfRange:
+            overflow, sgn = True, _probe_sign(o, plan)
+        else:
+            hw = 0.5 * (ci[1] - ci[0])
+            sgn = resolve_sign(d, mu, plan, baseline=(m, hw))
+            if sgn is None and m > hw + _SLACK:
+                # magnitude resolved but the bump comparison drowned in sampling
+                # noise: let the gated classical probe pick the sign
+                sgn = _probe_sign(o, plan, resolution=_PROBE_RESOLUTION_FACTOR * eps0)
+    if sgn == -1 and not overflow:
+        try:
+            m, ci = _fit(res.f_hat, fit_alpha, kappa, beta, eps0, -1)
+        except FractionOutOfRange:
+            pass  # noise, or a beta override's narrower bracket: positive fit stands
     if overflow:
         m, ci = eps0, (eps0, 1.0)
     return EstimateRecord(

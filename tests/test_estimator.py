@@ -2,10 +2,12 @@
 full signed-imbalance estimate."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from qmedian import estimator
 from qmedian import (
     FractionOutOfRange,
     ParameterError,
@@ -249,14 +251,45 @@ def test_estimate_mu_below_everything(d32):
 
 
 def test_estimate_detects_aliased_extreme_imbalance(d1024):
-    # a single below value (imbalance ~ -1) produces a small fraction that
-    # a naive inversion would misread as a small positive imbalance; the
-    # exact partition counts flag the overflow instead
-    rec = eps_est(d1024, 0.5)
-    assert rec.verdict == "eps_exceeds_eps0"
-    assert rec.sign == -1
-    assert rec.eps_hat == -0.1
-    assert 0.0 < rec.f_hat < 0.05  # the aliased fraction itself is tiny
+    # far outside the bracket the fraction curve bends back down: a single
+    # below value (imbalance ~ -1) or 960 of them (+0.875) produce a small
+    # fraction that a naive inversion would misread as a small in-range
+    # imbalance; the exact partition counts flag the overflow instead
+    for mu, sign in ((0.5, -1), (959.5, 1)):
+        rec = eps_est(d1024, mu)
+        assert (rec.verdict, rec.sign, rec.eps_hat) == (
+            "eps_exceeds_eps0", sign, sign * 0.1)
+        assert (rec.ci_lo, rec.ci_hi) == (0.1, 1.0)
+        assert 0.0 < rec.f_hat < 0.05  # the aliased fraction itself is tiny
+
+
+def test_estimate_exact_heavy_ties_just_above_mu():
+    # 100 tied ones just above mu: bumping the threshold past them would
+    # jump from eps = -1/128 to +0.1875; the partition keeps the sign
+    d = dataset_from_values(
+        np.concatenate([np.zeros(508), np.ones(100), np.arange(2.0, 418.0)]))
+    rec = eps_est(d, 0.5)
+    assert (rec.verdict, rec.sign) == ("ok", -1)
+    assert abs(rec.eps_hat + 0.0078125) < 1e-9
+    assert rec.ci_lo == rec.ci_hi == -rec.eps_hat
+
+
+def test_estimate_exact_runs_one_experiment(d1024, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("run_experiment", "make_oracle", "_threshold_bump"):
+        monkeypatch.setattr(estimator, name, counted(name, getattr(estimator, name)))
+    # positive, negative, balanced, and overflow on either side
+    for mu in (543.5, 479.5, 512.0, 959.5, 0.5):
+        calls.clear()
+        eps_est(d1024, mu)
+        assert dict(calls) == {"run_experiment": 1, "make_oracle": 1}
 
 
 def test_estimate_exact_overflow_is_symmetric_just_past_eps0(d1024):
