@@ -10,7 +10,6 @@ the median.  Everything is deterministic given a seed.
 
 from .adaptive import (
     bisection_steps,
-    eps_est_adaptive,
     median_search,
     median_search_counted,
 )
@@ -49,9 +48,7 @@ from .errors import (
 )
 from .estimator import (
     EstimateRecord,
-    confidence_interval,
     eps_est,
-    invert_fraction,
     resolve_sign,
     sign_bracket,
 )
@@ -104,10 +101,9 @@ __all__ = [
     "RunPlan", "ExperimentResult", "prepare", "amplification_loop",
     "run_experiment", "choose_alpha", "choose_beta",
     # estimation
-    "EstimateRecord", "invert_fraction", "confidence_interval",
-    "resolve_sign", "sign_bracket", "eps_est",
+    "EstimateRecord", "resolve_sign", "sign_bracket", "eps_est",
     # adaptive drivers
-    "eps_est_adaptive", "median_search", "median_search_counted",
+    "median_search", "median_search_counted",
     "bisection_steps",
     # classical baseline
     "classical_estimate", "classical_sample_budget",

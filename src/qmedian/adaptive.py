@@ -1,12 +1,10 @@
 """Drivers for when the imbalance magnitude is unknown in advance.
 
-``eps_est_adaptive`` starts from the coarsest prior bound (0.1) and keeps
+The adaptive estimate starts from the coarsest prior bound (0.1) and keeps
 tightening it until the estimate is comfortably resolved at the current
 scale: an estimate is accepted as soon as |est| > 0.2 * eps0 (or the
 fraction overflows the bracket, which means the scale is already right).
-Otherwise the bound shrinks — halving by default; the alternative
-"estimate" rule sets the next bound to |est|/2, which can collapse to
-zero on a noisy near-zero estimate and is therefore not the default.
+Otherwise the bound halves, down to eps_min.
 
 ``median_search`` bisects on the threshold value: the adaptive estimate's
 sign says whether the candidate threshold sits above or below the point of
@@ -18,14 +16,12 @@ resolution delta, and returns the last midpoint probed.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .dataset import Dataset
 from .errors import ParameterError
 from .estimator import EstimateRecord, eps_est
 from .rng import derive_seed
-
-UPDATE_RULES = ("halve", "estimate")
 
 _START_EPS0 = 0.1
 _ACCEPT_FACTOR = 0.2
@@ -39,14 +35,11 @@ def _eps_est_adaptive_counted(
     kappa: float = 3.0,
     mode: str = "exact",
     seed: int = 0,
-    update_rule: str = "halve",
 ) -> Tuple[EstimateRecord, int]:
+    """Adaptive estimate at mu: the record from the accepting scale, or from
+    the finest one when none resolved, and the number of eps_est calls."""
     if not (0.0 < eps_min < _START_EPS0):
         raise ParameterError(f"eps_min must be in (0, {_START_EPS0}), got {eps_min}")
-    if update_rule not in UPDATE_RULES:
-        raise ParameterError(
-            f"update rule must be one of {UPDATE_RULES}, got {update_rule!r}"
-        )
     eps0 = _START_EPS0
     calls = 0
     while True:
@@ -57,32 +50,9 @@ def _eps_est_adaptive_counted(
         calls += 1
         if rec.verdict != "ok" or abs(rec.eps_hat) > _ACCEPT_FACTOR * eps0:
             return rec, calls
-        nxt = eps0 / 2.0 if update_rule == "halve" else abs(rec.eps_hat) * 0.5
-        if nxt <= eps_min:
+        if eps0 / 2.0 <= eps_min:
             return rec, calls
-        eps0 = nxt
-
-
-def eps_est_adaptive(
-    d: Dataset,
-    mu: float,
-    eps_min: float,
-    theta: float = 0.1,
-    kappa: float = 3.0,
-    mode: str = "exact",
-    seed: int = 0,
-    update_rule: str = "halve",
-) -> EstimateRecord:
-    """Estimate the imbalance at mu without a prior magnitude bound.
-
-    Tightens the bound from 0.1 down to eps_min (see module docstring) and
-    returns the record from the accepting scale — or from the finest scale
-    when nothing ever resolved (a true imbalance below eps_min).
-    """
-    rec, _ = _eps_est_adaptive_counted(
-        d, mu, eps_min, theta, kappa, mode, seed, update_rule
-    )
-    return rec
+        eps0 /= 2.0
 
 
 def bisection_steps(span: float, delta: float) -> int:
@@ -104,7 +74,6 @@ def median_search_counted(
     kappa: float = 3.0,
     mode: str = "exact",
     seed: int = 0,
-    update_rule: str = "halve",
 ) -> Tuple[float, int, int]:
     """Returns (mu_hat, bisection steps, total estimation calls)."""
     if not vmin < vmax:
@@ -119,7 +88,7 @@ def median_search_counted(
         mu = 0.5 * (lower + upper)
         rec, c = _eps_est_adaptive_counted(
             d, mu, eps_min, theta, kappa, mode,
-            derive_seed(seed, step), update_rule,
+            derive_seed(seed, step),
         )
         calls += c
         if rec.eps_hat > 0.0:
@@ -139,7 +108,6 @@ def median_search(
     kappa: float = 3.0,
     mode: str = "exact",
     seed: int = 0,
-    update_rule: str = "halve",
 ) -> float:
     """Median estimate: binary search on the threshold driven by the sign
     of the adaptive imbalance estimate, to resolution delta.
@@ -148,6 +116,6 @@ def median_search(
     eps_min*N plus whatever lies inside the final delta-wide bracket.
     """
     mu, _, _ = median_search_counted(
-        d, vmin, vmax, delta, eps_min, theta, kappa, mode, seed, update_rule
+        d, vmin, vmax, delta, eps_min, theta, kappa, mode, seed
     )
     return mu

@@ -25,12 +25,11 @@ import numpy as np
 from .dataset import oracle_from_mask
 from .dense import dense_d, dense_f, dense_r, dense_s, dense_t
 from .driver import amplification_loop, prepare
-from .errors import ParameterError
 from .model import conserved_quantity, k_closed_form, l_closed_form, loop_step, post_shift
 from .rng import bulk_uniforms, derive_seed
 from .statevector import (
-    MAX_BITS,
     StateVector,
+    _check_bits,
     conditional_phase,
     diffusion,
     shift,
@@ -185,8 +184,7 @@ def check_closed_form(n: int, loops: int = 100) -> float:
 def run_checks(n: int, seed: int = 1) -> List[CheckResult]:
     """The full suite at register size n.  Raises on an invalid n; numeric
     failures are reported through the results, not raised."""
-    if not (1 <= n <= MAX_BITS):
-        raise ParameterError(f"bit count must be in [1, {MAX_BITS}], got {n}")
+    _check_bits(n)
     return [
         CheckResult("unitarity", check_unitarity(min(n, 10), seed)),
         CheckResult("factorization_diffusion", check_factorization_diffusion(n)),

@@ -33,7 +33,6 @@ from .adaptive import median_search_counted
 from .baseline import classical_estimate
 from .checks import run_checks
 from .dataset import (
-    Dataset,
     dataset_to_text,
     make_oracle,
     oracle_from_mask,
@@ -162,8 +161,6 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa", type=float, default=3.0, help="confidence multiplier (default 3)")
     p.add_argument("--alpha", type=int, default=None, help="override repetition count")
     p.add_argument("--beta", type=int, default=None, help="override loop count")
-    p.add_argument("--resimulate", action="store_true",
-                   help="re-prepare the register for every sample (sampled mode)")
     _add_mode(p)
     _add_seed(p)
     p.set_defaults(func=cmd_estimate)
@@ -180,9 +177,6 @@ def build_parser() -> _Parser:
                    help="finest imbalance scale to resolve (default 0.01)")
     p.add_argument("--theta", type=float, default=0.1)
     p.add_argument("--kappa", type=float, default=3.0)
-    p.add_argument("--scale-rule", choices=("halve", "estimate"), default="halve",
-                   dest="scale_rule",
-                   help="how the adaptive bound shrinks (default halve)")
     _add_mode(p)
     _add_seed(p)
     p.set_defaults(func=cmd_median)
@@ -226,7 +220,7 @@ def cmd_estimate(ns) -> int:
     rec = eps_est(
         d, ns.mu, eps0=ns.eps0, theta=ns.theta, kappa=ns.kappa,
         mode=_MODE_ALIASES[ns.mode], seed=_resolve_seed(ns),
-        alpha=ns.alpha, beta=ns.beta, resimulate=ns.resimulate,
+        alpha=ns.alpha, beta=ns.beta,
     )
     sys.stdout.write(_json_line(_record_dict(rec)))
     return 0
@@ -241,14 +235,12 @@ def cmd_median(ns) -> int:
     delta = (vmax - vmin) / 2.0 ** 20 if ns.resolution is None else ns.resolution
     sys.stderr.write(
         "note: imbalance magnitudes are assumed below 0.1 per estimation call; "
-        f"the adaptive bound starts at 0.1 and shrinks by rule "
-        f"'{ns.scale_rule}' down to eps-min; values equal to a threshold "
-        "count as above it.\n"
+        "the adaptive bound starts at 0.1 and halves down to eps-min; "
+        "values equal to a threshold count as above it.\n"
     )
     mu_hat, steps, calls = median_search_counted(
         d, vmin, vmax, delta, ns.eps_min, theta=ns.theta, kappa=ns.kappa,
         mode=_MODE_ALIASES[ns.mode], seed=_resolve_seed(ns),
-        update_rule=ns.scale_rule,
     )
     out = {
         "mu_hat": mu_hat,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DatasetParseError, DatasetSizeError, ParameterError
 from .rng import SALT_PERM, SALT_VALUES, bulk_uniforms, derive_seed
-from .statevector import MAX_BITS
+from .statevector import MAX_BITS, _check_bits, as_mask
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,7 @@ def dataset_to_text(d: Dataset) -> str:
 def make_oracle(d: Dataset, mu: float) -> ThresholdOracle:
     if not np.isfinite(mu):
         raise ParameterError(f"threshold must be finite, got {mu}")
-    below = d.values < mu
-    n_below = int(below.sum())
-    n_above = d.size - n_below
-    eps = (n_below - n_above) / d.size
-    return ThresholdOracle(d.n, float(mu), below, n_below, n_above, eps)
+    return oracle_from_mask(d.n, d.values < mu, mu)
 
 
 def oracle_from_mask(n: int, below_mask, mu: float = 0.0) -> ThresholdOracle:
@@ -112,8 +108,6 @@ def oracle_from_mask(n: int, below_mask, mu: float = 0.0) -> ThresholdOracle:
     Useful for exercising the register on a chosen partition; mu is carried
     for bookkeeping only.
     """
-    from .statevector import as_mask
-
     below = as_mask(n, below_mask)
     size = 1 << n
     n_below = int(below.sum())
@@ -135,8 +129,7 @@ def synth_dataset(n: int, eps_target: float, mu: float, seed: int):
     positions are shuffled deterministically from the seed (values are
     sorted by per-index random keys).
     """
-    if not (1 <= n <= MAX_BITS):
-        raise ParameterError(f"bit count must be in [1, {MAX_BITS}], got {n}")
+    _check_bits(n)
     if not (-1.0 <= eps_target <= 1.0):
         raise ParameterError(f"eps target must lie in [-1, 1], got {eps_target}")
     size = 1 << n

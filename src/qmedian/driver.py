@@ -5,10 +5,9 @@ amplification loop beta times, then read out the below-threshold fraction —
 exactly (a simulator privilege) or by sampling the final state alpha times.
 
 Sampling alpha indices from the single final state is distributionally
-identical to re-preparing per sample, because preparation is deterministic;
-``resimulate=True`` forces the literal re-preparation anyway as a paranoia
-path.  Per-sample randomness comes from indexed sub-streams of the plan
-seed, so results do not depend on sampling order.
+identical to re-preparing per sample, because preparation is deterministic.
+Per-sample randomness comes from indexed sub-streams of the plan seed, so
+results do not depend on sampling order.
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ import numpy as np
 
 from .dataset import ThresholdOracle
 from .errors import NumericalError, ParameterError
-from .rng import SALT_SAMPLES, RandomStream, bulk_uniforms, derive_seed
+from .rng import SALT_SAMPLES, bulk_uniforms, derive_seed
 from .statevector import (
     StateVector,
     conditional_phase,
     diffusion,
     probability_of,
-    sample,
+    sample,  # noqa: F401  unused here; perfbench/tracing.py's WRAPS resolves it
     sample_many,
     shift,
     uniform_state,
@@ -56,7 +55,6 @@ class RunPlan:
     beta: int
     mode: str
     seed: int
-    resimulate: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps0 <= 0.1):
@@ -157,17 +155,7 @@ def run_experiment(o: ThresholdOracle, plan: RunPlan) -> ExperimentResult:
     if plan.mode == "exact":
         return ExperimentResult(exact_p, exact_p, plan.alpha, None)
 
-    below = o.below_mask
-    draw_seed = derive_seed(plan.seed, SALT_SAMPLES)
-    if plan.resimulate:
-        outcomes = np.empty(plan.alpha, dtype=bool)
-        for j in range(plan.alpha):
-            st = _final_state(o, plan.beta)
-            idx = sample(st, RandomStream(derive_seed(draw_seed, j)))
-            outcomes[j] = below[idx]
-    else:
-        uniforms = bulk_uniforms(draw_seed, plan.alpha)
-        indices = sample_many(state, uniforms)
-        outcomes = below[indices]
+    uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
+    outcomes = o.below_mask[sample_many(state, uniforms)]
     hits = int(outcomes.sum())
     return ExperimentResult(hits / plan.alpha, exact_p, plan.alpha, outcomes)

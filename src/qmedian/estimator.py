@@ -110,7 +110,12 @@ def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
          eps_hi: float, sign: int) -> Tuple[float, Tuple[float, float]]:
     """Magnitude and interval on the branch m -> f(sign*m, beta), bracketed
     by [0, eps_hi] (sign +1) or the narrower [0, min(eps_hi, NEG_CAP/beta)]
-    (sign -1); the interval is ``confidence_interval``'s on that branch."""
+    (sign -1).  alpha=None means an exact readout: the interval collapses
+    to the point m.  Otherwise the interval inverts the Hoeffding band
+    f_hat +- kappa*sqrt(1/alpha), which holds with probability at least
+    1 - 2*exp(-2*kappa^2); its upper end clamps at the bracket top.
+    Raises FractionOutOfRange when f_hat lies above the bracket (beyond
+    rounding forgiveness)."""
     if beta < 1:
         raise ParameterError(f"loop count must be >= 1, got {beta}")
     if not f_hat >= 0.0:
@@ -129,29 +134,6 @@ def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
     lo = _bisect(max(0.0, f_hat - half), beta, top_m, sign)
     hi = _bisect(min(f_hat + half, top), beta, top_m, sign)
     return m, (lo, hi)
-
-
-def invert_fraction(f_hat: float, beta: int, eps_hi: float) -> float:
-    """Magnitude m in [0, eps_hi] with predicted_fraction(m, beta) == f_hat.
-
-    Bisects to a bracket width of 1e-12.  Raises FractionOutOfRange when
-    f_hat exceeds the curve's value at eps_hi (beyond rounding forgiveness).
-    """
-    return _fit(f_hat, None, 0.0, beta, eps_hi, 1)[0]
-
-
-def confidence_interval(f_hat: float, alpha: Optional[int], kappa: float,
-                        beta: int, eps_hi: float) -> Tuple[float, float]:
-    """Magnitude interval from the Hoeffding band f_hat +- kappa*sqrt(1/alpha).
-
-    The band holds with probability at least 1 - 2*exp(-2*kappa^2).  The
-    upper endpoint clamps at eps_hi.  alpha=None means an exact readout
-    (no statistical width): the interval collapses to a point.  Raises
-    FractionOutOfRange when f_hat itself lies above the bracket.
-    """
-    if alpha is not None and alpha < 1:
-        raise ParameterError(f"alpha must be >= 1, got {alpha}")
-    return _fit(f_hat, alpha, kappa, beta, eps_hi, 1)[1]
 
 
 def _threshold_bump(d: Dataset, mu: float) -> float:
@@ -252,7 +234,6 @@ def eps_est(
     seed: int = 0,
     alpha: Optional[int] = None,
     beta: Optional[int] = None,
-    resimulate: bool = False,
 ) -> EstimateRecord:
     """Full signed-imbalance estimate at threshold mu.
 
@@ -269,7 +250,7 @@ def eps_est(
         beta = choose_beta(eps0)
     if alpha is None:
         alpha = choose_alpha(theta)
-    plan = RunPlan(eps0, theta, kappa, alpha, beta, mode, seed, resimulate)
+    plan = RunPlan(eps0, theta, kappa, alpha, beta, mode, seed)
     o = make_oracle(d, mu)
     res = run_experiment(o, plan)
     if mode == "exact":

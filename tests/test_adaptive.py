@@ -9,7 +9,6 @@ from qmedian import (
     ParameterError,
     bisection_steps,
     dataset_from_values,
-    eps_est_adaptive,
     median_search,
     median_search_counted,
     rank_below,
@@ -72,29 +71,10 @@ def test_adaptive_call_count_bound(d1024):
         assert calls <= math.ceil(math.log2(0.1 / eps_min)) + 1
 
 
-def test_adaptive_estimate_update_rule(d1024):
-    # the literal rule jumps straight to half the running estimate; the
-    # next scale then sits below the true value and reports the overflow
-    rec, calls = _eps_est_adaptive_counted(
-        d1024, 514.5, eps_min=0.001, update_rule="estimate")
-    assert calls == 2
-    assert rec.verdict == "eps_exceeds_eps0"
-    assert rec.sign == 1
-    assert rec.eps_hat == rec.eps0
-    assert rec.eps0 == pytest.approx(0.5 * 6 / 1024, rel=1e-6)
-
-
-def test_adaptive_wrapper_returns_record(d1024):
-    rec = eps_est_adaptive(d1024, 528.5, eps_min=0.01)
-    assert abs(rec.eps_hat - 34 / 1024) < 1e-9
-
-
 def test_adaptive_validation(d1024):
     for bad in (0.0, -0.1, 0.1, 0.5):
         with pytest.raises(ParameterError):
-            eps_est_adaptive(d1024, 512.0, eps_min=bad)
-    with pytest.raises(ParameterError):
-        eps_est_adaptive(d1024, 512.0, eps_min=0.01, update_rule="bogus")
+            _eps_est_adaptive_counted(d1024, 512.0, eps_min=bad)
 
 
 # --------------------------------------------------------------- bisection

@@ -117,16 +117,6 @@ def test_estimate_mode_alias_sample(data1024, capsys):
     assert json.loads(a)["mode"] == "sampled"
 
 
-def test_estimate_resimulate_identical(data1024, capsys):
-    base = ["estimate", "--data", data1024, "--mu", "543.5", "--mode", "sampled",
-            "--seed", "5"]
-    main(base)
-    a = capsys.readouterr().out
-    main(base + ["--resimulate"])
-    b = capsys.readouterr().out
-    assert a == b
-
-
 def test_estimate_overrides_echoed(data32, capsys):
     main(["estimate", "--data", data32, "--mu", "17", "--alpha", "7",
           "--beta", "2"])
@@ -157,12 +147,6 @@ def test_median_output_and_note(data32, capsys):
     assert 15.5 <= rec["mu_hat"] <= 16.5
     assert rec["steps"] == 5
     assert rec["rank_below"] in (16, 17)
-
-
-def test_median_scale_rule_in_note(data32, capsys):
-    main(["median", "--data", data32, "--resolution", "1",
-          "--scale-rule", "estimate"])
-    assert "'estimate'" in capsys.readouterr().err
 
 
 def test_median_default_bracket_is_data_range(data32, capsys):

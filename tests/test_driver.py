@@ -7,12 +7,14 @@ import pytest
 
 from qmedian import (
     ParameterError,
+    RandomStream,
     RunPlan,
     amplification_loop,
     choose_alpha,
     choose_beta,
     conserved_quantity,
     dataset_from_values,
+    derive_seed,
     k_closed_form,
     l_closed_form,
     make_oracle,
@@ -21,7 +23,9 @@ from qmedian import (
     prepare,
     probability_of,
     run_experiment,
+    sample,
 )
+from qmedian.rng import SALT_SAMPLES
 
 
 def head_oracle(n, n_below):
@@ -164,13 +168,19 @@ def test_sampled_experiment_deterministic_and_seed_sensitive():
 
 
 def test_resampling_every_draw_changes_nothing():
+    # oracle: re-prepare the register for every draw and sample it with that
+    # draw's own sub-stream; bulk sampling from one final state must agree
     o = head_oracle(6, 36)
-    base = RunPlan(0.1, 0.1, 3.0, 64, 2, "sampled", 11)
-    slow = RunPlan(0.1, 0.1, 3.0, 64, 2, "sampled", 11, resimulate=True)
-    a = run_experiment(o, base)
-    b = run_experiment(o, slow)
-    assert a.f_hat == b.f_hat
-    assert a.outcomes.tolist() == b.outcomes.tolist()
+    plan = RunPlan(0.1, 0.1, 3.0, 64, 2, "sampled", 11)
+    draw_seed = derive_seed(plan.seed, SALT_SAMPLES)
+    slow = [
+        bool(o.below_mask[sample(amplification_loop(prepare(o), o, plan.beta),
+                                 RandomStream(derive_seed(draw_seed, j)))])
+        for j in range(plan.alpha)
+    ]
+    res = run_experiment(o, plan)
+    assert res.outcomes.tolist() == slow
+    assert res.f_hat == sum(slow) / plan.alpha
 
 
 def test_sampled_fraction_concentrates_near_exact():

@@ -12,14 +12,13 @@ from qmedian import (
     FractionOutOfRange,
     ParameterError,
     RunPlan,
-    confidence_interval,
     dataset_from_values,
     eps_est,
-    invert_fraction,
     predicted_fraction,
     resolve_sign,
     sign_bracket,
 )
+from qmedian.estimator import _fit
 
 
 @pytest.fixture(scope="module")
@@ -46,35 +45,35 @@ def test_invert_fraction_round_trip():
         hi = sign_bracket(beta)
         for eps in np.linspace(1e-4, hi * 0.999, 23):
             f = predicted_fraction(float(eps), beta)
-            m = invert_fraction(f, beta, hi)
+            m = _fit(f, None, 0.0, beta, hi, 1)[0]
             assert abs(m - eps) < 1e-11
 
 
 def test_invert_fraction_zero_and_top():
-    assert invert_fraction(0.0, 1, 0.1) == 0.0
+    assert _fit(0.0, None, 0.0, 1, 0.1, 1)[0] == 0.0
     top = predicted_fraction(0.1, 1)
-    assert invert_fraction(top, 1, 0.1) == pytest.approx(0.1, abs=1e-11)
+    assert _fit(top, None, 0.0, 1, 0.1, 1)[0] == pytest.approx(0.1, abs=1e-11)
     # rounding forgiveness just past the top maps to the bracket end
-    assert invert_fraction(top + 1e-10, 1, 0.1) == pytest.approx(0.1, abs=1e-11)
+    assert _fit(top + 1e-10, None, 0.0, 1, 0.1, 1)[0] == pytest.approx(0.1, abs=1e-11)
 
 
 def test_invert_fraction_out_of_range():
     top = predicted_fraction(0.1, 1)
     with pytest.raises(FractionOutOfRange) as exc:
-        invert_fraction(top + 1e-6, 1, 0.1)
+        _fit(top + 1e-6, None, 0.0, 1, 0.1, 1)
     assert exc.value.f_hat == top + 1e-6
     assert exc.value.top == pytest.approx(top, abs=1e-15)
 
 
 def test_invert_fraction_validation():
     with pytest.raises(ParameterError):
-        invert_fraction(0.01, 0, 0.1)
+        _fit(0.01, None, 0.0, 0, 0.1, 1)
     with pytest.raises(ParameterError):
-        invert_fraction(-0.01, 1, 0.1)
+        _fit(-0.01, None, 0.0, 1, 0.1, 1)
     with pytest.raises(ParameterError):
-        invert_fraction(0.01, 1, 0.5)  # beyond the monotone bracket
+        _fit(0.01, None, 0.0, 1, 0.5, 1)  # beyond the monotone bracket
     with pytest.raises(ParameterError):
-        invert_fraction(0.01, 1, 0.0)
+        _fit(0.01, None, 0.0, 1, 0.0, 1)
 
 
 def test_monotone_on_bracket():
@@ -89,23 +88,18 @@ def test_monotone_on_bracket():
 
 def test_confidence_interval_exact_collapses_to_point():
     f = predicted_fraction(0.05, 1)
-    lo, hi = confidence_interval(f, None, 3.0, 1, 0.1)
+    lo, hi = _fit(f, None, 3.0, 1, 0.1, 1)[1]
     assert lo == hi == pytest.approx(0.05, abs=1e-11)
 
 
 def test_confidence_interval_band_endpoints():
     f = predicted_fraction(0.05, 1)
-    lo, hi = confidence_interval(f, 900, 3.0, 1, 0.1)  # half-width 0.1 in f
+    lo, hi = _fit(f, 900, 3.0, 1, 0.1, 1)[1]  # half-width 0.1 in f
     assert lo == 0.0  # f - 0.1 < 0 clamps to zero
     assert hi == pytest.approx(0.1, abs=1e-11)  # f + 0.1 beyond top clamps
-    lo2, hi2 = confidence_interval(f, 4000000, 3.0, 1, 0.1)
+    lo2, hi2 = _fit(f, 4000000, 3.0, 1, 0.1, 1)[1]
     assert lo2 < 0.05 < hi2
     assert hi2 - lo2 < 0.01
-
-
-def test_confidence_interval_validation():
-    with pytest.raises(ParameterError):
-        confidence_interval(0.01, 0, 3.0, 1, 0.1)
 
 
 # ------------------------------------------------------------- sign
@@ -153,7 +147,7 @@ def test_estimate_negative_branch_refit_beats_positive_inversion(d32):
     # the refit removes it
     rec = eps_est(d32, 15.0)
     f = rec.f_hat
-    m_pos = invert_fraction(f, rec.beta, rec.eps0)
+    m_pos = _fit(f, None, 0.0, rec.beta, rec.eps0, 1)[0]
     assert abs(rec.eps_hat + 0.0625) < abs(m_pos - 0.0625)
 
 
