@@ -52,9 +52,6 @@ def random_state(n: int, seed: int) -> StateVector:
     im = bulk_uniforms(derive_seed(seed, 2), size) - 0.5
     amps = re + 1j * im
     nrm = math.sqrt(float(np.sum(re * re + im * im)))
-    if nrm == 0.0:  # unreachable in practice; keep the state usable
-        amps[0] = 1.0
-        nrm = 1.0
     return StateVector(n, (amps / nrm).astype(np.complex128))
 
 

@@ -29,6 +29,8 @@ import sys
 import tempfile
 from typing import List, Optional
 
+import numpy as np
+
 from .adaptive import median_search_counted
 from .baseline import classical_estimate
 from .checks import run_checks
@@ -44,7 +46,7 @@ from .driver import amplification_loop, prepare
 from .errors import DataError, NumericalError, ParameterError, QmedianError
 from .estimator import EstimateRecord, eps_est
 from .model import k_closed_form, k_small_eps_approx, predicted_fraction
-from .statevector import probability_of
+from .statevector import _check_bits, probability_of
 
 _MODE_ALIASES = {"exact": "exact", "sampled": "sampled", "sample": "sampled"}
 
@@ -260,6 +262,7 @@ def cmd_sweep(ns) -> int:
     header = "r,k_re,k_im,k_abs,approx_2sqrt2,p_below_analytic"
     if with_exact:
         header += ",p_below_exact,abs_err"
+        _check_bits(ns.n)
         size = 1 << ns.n
         b_real = (1.0 + eps) * size / 2.0
         n_below = round(b_real)
@@ -267,8 +270,7 @@ def cmd_sweep(ns) -> int:
             raise ParameterError(
                 f"eps={eps} is not on the n={ns.n} grid (nearest below-count {n_below})"
             )
-        mask = [True] * n_below + [False] * (size - n_below)
-        o = oracle_from_mask(ns.n, mask)
+        o = oracle_from_mask(ns.n, np.arange(size) < n_below)
         state = prepare(o)
     lines = [header + "\n"]
 

@@ -46,13 +46,8 @@ class RandomStream:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
+        z = mix64(self._state)
         self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z ^= z >> 30
-        z = (z * _MIX1) & _MASK64
-        z ^= z >> 27
-        z = (z * _MIX2) & _MASK64
-        z ^= z >> 31
         return z
 
     def next_float(self) -> float:

@@ -252,6 +252,13 @@ def test_sweep_off_grid_eps_rejected(tmp_path):
                  "--csv", csv]) == 1
 
 
+def test_sweep_bit_count_checked_first(tmp_path, capsys):
+    for n in ("-1", "0", "25"):
+        assert main(["sweep", "--eps", "0", "--beta-max", "2", "--n", n,
+                     "--csv", str(tmp_path / "x.csv")]) == 1
+        assert "bit count must be in [1, 24]" in capsys.readouterr().err
+
+
 def test_sweep_negative_beta_max(tmp_path):
     assert main(["sweep", "--eps", "0.1", "--beta-max", "-1",
                  "--csv", str(tmp_path / "x.csv")]) == 1

@@ -25,6 +25,7 @@ from qmedian import (
     run_experiment,
     sample,
 )
+from qmedian import driver
 from qmedian.rng import SALT_SAMPLES
 
 
@@ -181,6 +182,40 @@ def test_resampling_every_draw_changes_nothing():
     res = run_experiment(o, plan)
     assert res.outcomes.tolist() == slow
     assert res.f_hat == sum(slow) / plan.alpha
+
+
+def test_run_experiment_runs_no_register_transform(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_experiment evolved the 2^n register")
+
+    for name in ("uniform_state", "conditional_phase", "diffusion", "shift"):
+        monkeypatch.setattr(driver, name, refuse)
+    o = head_oracle(10, 576)
+    exact = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0))
+    assert exact.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
+    sampled = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "sampled", 0))
+    assert sampled.f_hat == 0.09
+
+
+def test_model_built_register_matches_evolved_reference():
+    betas = (0, 1, 5, 20, 36, 100)
+    for n in (1, 2, 4, 8, 10, 12):
+        size = 1 << n
+        root_n = math.sqrt(size)
+        lo, hi = math.ceil(size * 0.375), math.floor(size * 0.625)
+        counts = {0, 1, size // 2, size - 1, size}
+        counts.update(range(lo, hi + 1, max(1, (hi - lo) // 8)))
+        for n_below in sorted(counts):
+            o = head_oracle(n, n_below)
+            ref = prepare(o)
+            done = 0
+            for beta in betas:
+                amplification_loop(ref, o, beta - done)
+                done = beta
+                built = driver._final_state(o, beta)
+                assert np.abs(built.amps - ref.amps).max() * root_n < 1e-11
+                assert abs(probability_of(built, o.below_mask)
+                           - probability_of(ref, o.below_mask)) < 1e-13
 
 
 def test_sampled_fraction_concentrates_near_exact():
