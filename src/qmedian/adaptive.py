@@ -2,15 +2,17 @@
 
 The adaptive estimate starts from the coarsest prior bound (0.1) and keeps
 tightening it until the estimate is comfortably resolved at the current
-scale: an estimate is accepted as soon as |est| > 0.2 * eps0 (or the
-fraction overflows the bracket, which means the scale is already right).
-Otherwise the bound halves, down to eps_min.
+scale: an estimate is accepted as soon as its sign is decided and
+|est| > 0.2 * eps0 (or the fraction overflows the bracket, which means the
+scale is already right).  Otherwise the bound halves, down to eps_min.
 
 ``median_search`` bisects on the threshold value: the adaptive estimate's
 sign says whether the candidate threshold sits above or below the point of
-balance, exactly like a comparison in ordinary binary search.  The loop
-runs ceil(log2(span/delta)) steps, narrowing the bracket below the
-resolution delta, and returns the last midpoint probed.
+balance, exactly like a comparison in ordinary binary search.  Only a
+decided positive sign moves the upper end; an undecided one counts as
+"not more than half below".  The loop runs ceil(log2(span/delta)) steps,
+narrowing the bracket below the resolution delta, and returns the last
+midpoint probed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ def _eps_est_adaptive_counted(
             seed=derive_seed(seed, calls),
         )
         calls += 1
-        if rec.verdict != "ok" or abs(rec.eps_hat) > _ACCEPT_FACTOR * eps0:
+        if rec.sign is not None and (
+            rec.verdict != "ok" or abs(rec.eps_hat) > _ACCEPT_FACTOR * eps0
+        ):
             return rec, calls
         if eps0 / 2.0 <= eps_min:
             return rec, calls
@@ -91,7 +95,7 @@ def median_search_counted(
             derive_seed(seed, step),
         )
         calls += c
-        if rec.eps_hat > 0.0:
+        if rec.sign == 1:
             upper = mu  # more than half the data sits below mu
         else:
             lower = mu

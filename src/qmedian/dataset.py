@@ -72,7 +72,18 @@ def dataset_from_values(values) -> Dataset:
 
 
 def load_dataset(text: str) -> Dataset:
-    """Parse newline-delimited decimals (one value per line)."""
+    """Parse newline-delimited decimals (one value per line).
+
+    The fast path parses every line at once; blank or malformed lines
+    (and empty input) fall back to the line-by-line loop, which skips the
+    blanks and names the first bad line.
+    """
+    try:
+        arr = np.fromiter(map(float, text.splitlines()), np.float64)
+    except ValueError:
+        arr = np.empty(0)
+    if arr.size:
+        return dataset_from_values(arr)
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -93,7 +104,7 @@ def read_dataset(path) -> Dataset:
 
 
 def dataset_to_text(d: Dataset) -> str:
-    return "".join(format(v, ".17g") + "\n" for v in d.values)
+    return ("%.17g\n" * d.values.size) % tuple(d.values.tolist())
 
 
 def make_oracle(d: Dataset, mu: float) -> ThresholdOracle:

@@ -4,11 +4,14 @@ One experiment is: prepare the register against a threshold oracle, run the
 amplification loop beta times, then read out the below-threshold fraction —
 exactly (a simulator privilege) or by sampling the final state alpha times.
 
-Every step maps flat amplitudes to flat amplitudes, so the final register is
-built from the model's (k, l) pair after beta passes: k/sqrt(N) on every
-below state, l/sqrt(N) on every above state.  ``prepare`` and
-``amplification_loop`` evolve all 2^n amplitudes instead; they are the
-register-level reference that the checks and tests compare against.
+Every step maps flat amplitudes to flat amplitudes, so the experiment
+reduces to the model's (k, l) pair after beta passes: k/sqrt(N) on every
+below state, l/sqrt(N) on every above state.  The exact below probability
+is (n_below/N)|k|^2, read off the pair, so exact mode builds no register.
+Sampled mode materialises the final register from the pair once and draws
+from it.  ``prepare`` and ``amplification_loop`` evolve all 2^n amplitudes
+instead; they are the register-level reference that the checks and tests
+compare against.
 
 Sampling alpha indices from the single final state is distributionally
 identical to re-preparing per sample, because preparation is deterministic.
@@ -32,7 +35,7 @@ from .statevector import (
     StateVector,
     conditional_phase,
     diffusion,
-    probability_of,
+    probability_of,  # noqa: F401  unused here; perfbench/tracing.py's WRAPS resolves it
     sample,  # noqa: F401  unused here; perfbench/tracing.py's WRAPS resolves it
     sample_many,
     shift,
@@ -82,8 +85,8 @@ class ExperimentResult:
     """Outcome of one experiment.
 
     f_hat is the measured below-threshold fraction (equals exact_p in exact
-    mode); exact_p is always the exact below probability of the final
-    register built from the model pair;
+    mode); exact_p is always the exact below probability, (n_below/N)|k|^2
+    from the model pair after beta passes;
     outcomes holds the per-sample below/above booleans in sampled mode.
     """
 
@@ -150,16 +153,17 @@ def _final_state(o: ThresholdOracle, beta: int) -> StateVector:
 def run_experiment(o: ThresholdOracle, plan: RunPlan) -> ExperimentResult:
     """Run the full experiment for one oracle under one plan.
 
-    Exact mode reads the below probability off the state.  Sampled mode
-    draws plan.alpha basis indices from the final state and reports the
-    fraction that landed below the threshold.  Deterministic given
-    (oracle, plan).
+    Exact mode reads the below probability off the model pair and builds
+    no register.  Sampled mode draws plan.alpha basis indices from the
+    final state and reports the fraction that landed below the threshold.
+    Deterministic given (oracle, plan).
     """
-    state = _final_state(o, plan.beta)
-    exact_p = probability_of(state, o.below_mask)
+    k = _iterate_from_prepared(o.eps, plan.beta).k
+    exact_p = o.n_below / o.size * (k.real * k.real + k.imag * k.imag)
     if plan.mode == "exact":
         return ExperimentResult(exact_p, exact_p, plan.alpha, None)
 
+    state = _final_state(o, plan.beta)
     uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
     outcomes = o.below_mask[sample_many(state, uniforms)]
     hits = int(outcomes.sum())

@@ -73,7 +73,7 @@ def bulk_uniforms(seed: int, count: int) -> np.ndarray:
     m2 = np.uint64(_MIX2)
 
     def _mix(z: np.ndarray) -> np.ndarray:
-        z = z + golden
+        z += golden
         z ^= z >> np.uint64(30)
         z *= m1
         z ^= z >> np.uint64(27)

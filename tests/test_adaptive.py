@@ -132,8 +132,20 @@ def test_median_search_sampled_mode():
     d = dataset_from_values(np.arange(256.0))
     mu_hat, steps, calls = median_search_counted(
         d, 0.0, 255.0, 1.0, 0.02, theta=0.05, mode="sampled", seed=5)
-    assert (mu_hat, steps, calls) == (128.49609375, 8, 14)
+    assert (mu_hat, steps, calls) == (128.49609375, 8, 15)
     assert abs(rank_below(d, mu_hat) - 128) <= 4
+
+
+def test_median_search_sampled_undecided_sign_keeps_rank_bound():
+    # an undecided sign used to count as "more than half below" and sent
+    # this search 288 ranks low
+    size = 2**14
+    vals = np.random.default_rng([2, 5]).random(size) * 1000
+    d = dataset_from_values(vals)
+    vmin, vmax = float(vals.min()), float(vals.max())
+    mu_hat, _, _ = median_search_counted(
+        d, vmin, vmax, (vmax - vmin) / 2**20, 0.01, mode="sampled", seed=5)
+    assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2
 
 
 def test_median_search_zero_steps_returns_midpoint():

@@ -1,7 +1,16 @@
 """Classical Monte Carlo reference estimator."""
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qmedian
+from qmedian import baseline
+from qmedian.rng import SALT_BASELINE, bulk_uniforms, derive_seed
 
 from qmedian import (
     ParameterError,
@@ -74,3 +83,32 @@ def test_sample_budget_validation():
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ParameterError):
             classical_sample_budget(bad)
+
+
+def test_blocked_draws_match_one_shot_reference(o1024):
+    b = baseline._BLOCK
+    for m in (1, b - 1, b, b + 1, 3 * b + 777):
+        for seed in (0, 12345):
+            u = bulk_uniforms(derive_seed(seed, SALT_BASELINE), m)
+            idx = np.minimum((u * o1024.size).astype(np.int64), o1024.size - 1)
+            f = int(o1024.below_mask[idx].sum()) / m
+            assert classical_estimate(o1024, m, seed) == (f, 2.0 * f - 1.0)
+
+
+def test_large_sign_probe_fits_in_two_gib():
+    # this estimate sizes its classical sign probe at 10^8 draws
+    src = Path(qmedian.__file__).resolve().parent.parent
+    code = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        sys.path.insert(0, {str(src)!r})
+        import numpy as np
+        from qmedian import dataset_from_values, eps_est
+        rec = eps_est(dataset_from_values(np.arange(1024.0)), 460.85,
+                      eps0=0.003, theta=0.03, mode="sampled", seed=0)
+        print(rec.verdict)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ok"

@@ -54,6 +54,25 @@ def test_load_dataset_reports_line_number():
         load_dataset("1\n2\nbogus\n4\n")
 
 
+def test_load_dataset_line_endings_blanks_and_padding():
+    want = [1.5, -2.0, 300.0, 4e-3]
+    for text in ("1.5\r\n-2\r\n3e2\r\n0.004\r\n",
+                 "\n1.5\n\n-2\n   \n3e2\n0.004\n\n",
+                 "  1.5\n\t-2 \n3e2   \n 0.004"):
+        assert load_dataset(text).values.tolist() == want
+
+
+def test_load_dataset_reports_line_of_two_values():
+    with pytest.raises(DatasetParseError, match=r"line 3: not a decimal: '1 2'"):
+        load_dataset("1\n2\n1 2\n4\n")
+
+
+def test_dataset_to_text_matches_per_value_format():
+    vals = [1e16, 5e-324, np.finfo(np.float64).max, -0.0, 0.1, 1.0, -1 / 3, 2.5]
+    d = dataset_from_values(vals)
+    assert dataset_to_text(d) == "".join(format(v, ".17g") + "\n" for v in vals)
+
+
 def test_load_dataset_empty_is_size_error():
     with pytest.raises(DatasetSizeError):
         load_dataset("\n \n")

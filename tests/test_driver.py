@@ -197,11 +197,23 @@ def test_run_experiment_runs_no_register_transform(monkeypatch):
     assert sampled.f_hat == 0.09
 
 
-def test_model_built_register_matches_evolved_reference():
-    betas = (0, 1, 5, 20, 36, 100)
+def test_exact_experiment_builds_no_register(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact run_experiment built the 2^n register")
+
+    for name in ("_final_state", "StateVector", "probability_of"):
+        monkeypatch.setattr(driver, name, refuse)
+    res = run_experiment(head_oracle(10, 576),
+                         RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0))
+    assert res.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
+
+
+def evolved_reference_grid(betas):
+    """(oracle, beta, amplification_loop(prepare(o), o, beta)) over
+    n in {1, 2, 4, 8, 10, 12}, below-counts {0, 1, N/2, N-1, N} plus a
+    stride over |eps| <= 0.25, and the given increasing betas."""
     for n in (1, 2, 4, 8, 10, 12):
         size = 1 << n
-        root_n = math.sqrt(size)
         lo, hi = math.ceil(size * 0.375), math.floor(size * 0.625)
         counts = {0, 1, size // 2, size - 1, size}
         counts.update(range(lo, hi + 1, max(1, (hi - lo) // 8)))
@@ -212,10 +224,24 @@ def test_model_built_register_matches_evolved_reference():
             for beta in betas:
                 amplification_loop(ref, o, beta - done)
                 done = beta
-                built = driver._final_state(o, beta)
-                assert np.abs(built.amps - ref.amps).max() * root_n < 1e-11
-                assert abs(probability_of(built, o.below_mask)
-                           - probability_of(ref, o.below_mask)) < 1e-13
+                yield o, beta, ref
+
+
+def test_experiment_exact_p_matches_evolved_reference():
+    for o, beta, ref in evolved_reference_grid((1, 5, 20, 36, 100)):
+        want = probability_of(ref, o.below_mask)
+        for mode in ("exact", "sampled"):
+            plan = RunPlan(0.1, 0.1, 3.0, 8, beta, mode, 0)
+            assert abs(run_experiment(o, plan).exact_p - want) < 1e-13
+
+
+def test_model_built_register_matches_evolved_reference():
+    for o, beta, ref in evolved_reference_grid((0, 1, 5, 20, 36, 100)):
+        root_n = math.sqrt(o.size)
+        built = driver._final_state(o, beta)
+        assert np.abs(built.amps - ref.amps).max() * root_n < 1e-11
+        assert abs(probability_of(built, o.below_mask)
+                   - probability_of(ref, o.below_mask)) < 1e-13
 
 
 def test_sampled_fraction_concentrates_near_exact():
