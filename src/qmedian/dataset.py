@@ -121,7 +121,7 @@ def oracle_from_mask(n: int, below_mask, mu: float = 0.0) -> ThresholdOracle:
     """
     below = as_mask(n, below_mask)
     size = 1 << n
-    n_below = int(below.sum())
+    n_below = int(np.count_nonzero(below))
     n_above = size - n_below
     eps = (n_below - n_above) / size
     return ThresholdOracle(n, float(mu), below, n_below, n_above, eps)
@@ -129,7 +129,7 @@ def oracle_from_mask(n: int, below_mask, mu: float = 0.0) -> ThresholdOracle:
 
 def rank_below(d: Dataset, mu: float) -> int:
     """Count of values strictly below mu."""
-    return int((d.values < mu).sum())
+    return int(np.count_nonzero(d.values < mu))
 
 
 def synth_dataset(n: int, eps_target: float, mu: float, seed: int):

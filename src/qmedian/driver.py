@@ -166,5 +166,5 @@ def run_experiment(o: ThresholdOracle, plan: RunPlan) -> ExperimentResult:
     state = _final_state(o, plan.beta)
     uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
     outcomes = o.below_mask[sample_many(state, uniforms)]
-    hits = int(outcomes.sum())
+    hits = int(np.count_nonzero(outcomes))
     return ExperimentResult(hits / plan.alpha, exact_p, plan.alpha, outcomes)

@@ -84,6 +84,26 @@ def test_monotone_on_bracket():
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+
+def test_inversion_recovers_both_branches_in_few_evaluations(monkeypatch):
+    evals = Counter()
+
+    def counted(eps, beta):
+        evals["n"] += 1
+        return predicted_fraction(eps, beta)
+
+    monkeypatch.setattr(estimator, "predicted_fraction", counted)
+    for beta in (1, 2, 3, 5, 12, 16, 36, 100, 200):
+        hi = sign_bracket(beta)
+        for sign, top in ((1, hi), (-1, min(hi, estimator.NEG_CAP / beta))):
+            for eps in np.linspace(0.0, top, 41):
+                f = predicted_fraction(sign * float(eps), beta)
+                evals.clear()
+                m = _fit(f, None, 0.0, beta, hi, sign)[0]
+                assert abs(m - eps) <= 1e-12, (beta, sign, eps)
+                assert evals["n"] <= 24, (beta, sign, eps, evals["n"])
+
+
 # ------------------------------------------------------------- intervals
 
 def test_confidence_interval_exact_collapses_to_point():
@@ -286,6 +306,23 @@ def test_estimate_exact_runs_one_experiment(d1024, monkeypatch):
         assert dict(calls) == {"run_experiment": 1, "make_oracle": 1}
 
 
+
+def test_estimate_exact_fits_once_on_the_partition_sign(d1024, monkeypatch):
+    fits = []
+    inner = estimator._fit
+
+    def recorded(*args):
+        fits.append(args[-1])
+        return inner(*args)
+
+    monkeypatch.setattr(estimator, "_fit", recorded)
+    rec = eps_est(d1024, 479.5)  # eps = -0.0625, inside the bracket
+    assert fits == [-1]
+    assert rec.eps_hat == pytest.approx(-0.0625, abs=1e-12)
+    fits.clear()
+    eps_est(d1024, 543.5)  # eps = +0.0625
+    assert fits == [1]
+
 def test_estimate_exact_overflow_is_symmetric_just_past_eps0(d1024):
     # |eps| = 0.1015625 just exceeds eps0 = 0.1 on both sides; the negative
     # fraction lies above the negative bracket, whose top is eps0
@@ -302,6 +339,7 @@ def test_estimate_beta_override_keeps_positive_fit_on_negative_overflow(d1024):
     rec = eps_est(d1024, 475.5, beta=2)  # eps = -0.0703125
     assert (rec.verdict, rec.sign) == ("ok", -1)
     assert rec.eps_hat == pytest.approx(-0.0703125, abs=2e-3)
+    assert -rec.eps_hat == _fit(rec.f_hat, None, 0.0, 2, 0.1, 1)[0]
     assert rec.ci_lo == rec.ci_hi == -rec.eps_hat
 
 
