@@ -69,8 +69,6 @@ from .statevector import (
     conditional_phase,
     diffusion,
     probability_of,
-    sample,
-    sample_many,
     shift,
     uniform_state,
     walsh_hadamard,
@@ -88,7 +86,7 @@ __all__ = [
     "mix64", "RandomStream", "derive_seed", "bulk_uniforms",
     # register
     "StateVector", "uniform_state", "walsh_hadamard", "conditional_phase",
-    "diffusion", "shift", "probability_of", "sample", "sample_many",
+    "diffusion", "shift", "probability_of",
     # datasets
     "Dataset", "ThresholdOracle", "dataset_from_values", "load_dataset",
     "read_dataset", "dataset_to_text", "make_oracle", "oracle_from_mask",

@@ -6,17 +6,14 @@ exactly (a simulator privilege) or by sampling the final state alpha times.
 
 Every step maps flat amplitudes to flat amplitudes, so the experiment
 reduces to the model's (k, l) pair after beta passes: k/sqrt(N) on every
-below state, l/sqrt(N) on every above state.  The exact below probability
-is (n_below/N)|k|^2, read off the pair, so exact mode builds no register.
-Sampled mode materialises the final register from the pair once and draws
-from it.  ``prepare`` and ``amplification_loop`` evolve all 2^n amplitudes
-instead; they are the register-level reference that the checks and tests
-compare against.
-
-Sampling alpha indices from the single final state is distributionally
-identical to re-preparing per sample, because preparation is deterministic.
-Per-sample randomness comes from indexed sub-streams of the plan seed, so
-results do not depend on sampling order.
+below state, l/sqrt(N) on every above state.  One measurement therefore
+lands below with probability exact_p = (n_below/N)|k|^2, independently per
+draw, so both modes read the experiment off the pair and build no
+register: exact mode reports exact_p, and sampled mode takes alpha
+Bernoulli(exact_p) draws, one uniform per draw from the plan seed's sample
+sub-stream.  ``prepare`` and ``amplification_loop`` evolve all 2^n
+amplitudes instead; they are the register-level reference that the checks
+and tests compare against.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from .statevector import (
     diffusion,
     probability_of,  # noqa: F401  unused here; perfbench/tracing.py's WRAPS resolves it
     sample,  # noqa: F401  unused here; perfbench/tracing.py's WRAPS resolves it
-    sample_many,
+    sample_many,  # noqa: F401  unused here; perfbench/tracing.py's WRAPS resolves it
     shift,
     uniform_state,
 )
@@ -87,7 +84,8 @@ class ExperimentResult:
     f_hat is the measured below-threshold fraction (equals exact_p in exact
     mode); exact_p is always the exact below probability, (n_below/N)|k|^2
     from the model pair after beta passes;
-    outcomes holds the per-sample below/above booleans in sampled mode.
+    outcomes holds the per-sample below/above booleans in sampled mode,
+    alpha independent Bernoulli(exact_p) draws.
     """
 
     f_hat: float
@@ -142,29 +140,21 @@ def amplification_loop(state: StateVector, o: ThresholdOracle, beta: int) -> Sta
     return state
 
 
-def _final_state(o: ThresholdOracle, beta: int) -> StateVector:
-    """The register ``amplification_loop(prepare(o), o, beta)`` reaches,
-    built from the model pair instead of evolving 2^n amplitudes."""
-    s = _iterate_from_prepared(o.eps, beta)
-    scale = math.sqrt(1.0 / o.size)
-    return StateVector(o.n, np.where(o.below_mask, s.k * scale, s.l * scale))
-
-
 def run_experiment(o: ThresholdOracle, plan: RunPlan) -> ExperimentResult:
     """Run the full experiment for one oracle under one plan.
 
-    Exact mode reads the below probability off the model pair and builds
-    no register.  Sampled mode draws plan.alpha basis indices from the
-    final state and reports the fraction that landed below the threshold.
-    Deterministic given (oracle, plan).
+    Both modes read the below probability exact_p off the model pair and
+    build no register.  Exact mode reports it; sampled mode counts draw j
+    below when its uniform u_j < exact_p, over plan.alpha draws, and
+    reports the fraction that landed below.  Deterministic given (oracle,
+    plan).
     """
     k = _iterate_from_prepared(o.eps, plan.beta).k
     exact_p = o.n_below / o.size * (k.real * k.real + k.imag * k.imag)
     if plan.mode == "exact":
         return ExperimentResult(exact_p, exact_p, plan.alpha, None)
 
-    state = _final_state(o, plan.beta)
     uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
-    outcomes = o.below_mask[sample_many(state, uniforms)]
+    outcomes = uniforms < exact_p
     hits = int(np.count_nonzero(outcomes))
     return ExperimentResult(hits / plan.alpha, exact_p, plan.alpha, outcomes)

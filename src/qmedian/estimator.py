@@ -93,8 +93,9 @@ def sign_bracket(beta: int) -> float:
     return min(1.0, MONOTONE_CAP / beta)
 
 
-def _invert(f_hat: float, beta: int, top_m: float, sign: int) -> float:
-    """Magnitude m in [0, top_m] with predicted_fraction(sign*m, beta) == f_hat.
+def _invert(f_hat: float, beta: int, top_m: float, top: float, sign: int) -> float:
+    """Magnitude m in [0, top_m] with predicted_fraction(sign*m, beta) == f_hat,
+    given top == predicted_fraction(sign*top_m, beta).
 
     Illinois (regula falsi) steps on g(m) = sqrt(f(sign*m)) - sqrt(f_hat),
     which is nearly linear in m since |k| ~= 2*sqrt(2)*beta*m, until the
@@ -104,7 +105,6 @@ def _invert(f_hat: float, beta: int, top_m: float, sign: int) -> float:
     onto a bracket end bisects instead.  f_hat at or just past the top
     (within _TOP_TOL) maps to top_m, and f_hat <= 0 to 0.
     """
-    top = predicted_fraction(sign * top_m, beta)
     if f_hat > top + _TOP_TOL:
         raise FractionOutOfRange(f_hat, top)
     if f_hat >= top:
@@ -155,13 +155,13 @@ def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
             f"got {eps_hi}"
         )
     top_m = eps_hi if sign > 0 else min(eps_hi, NEG_CAP / beta)
-    m = _invert(f_hat, beta, top_m, sign)
+    top = predicted_fraction(sign * top_m, beta)
+    m = _invert(f_hat, beta, top_m, top, sign)
     if alpha is None:
         return m, (m, m)
     half = kappa * math.sqrt(1.0 / alpha)
-    top = predicted_fraction(sign * top_m, beta)
-    lo = _invert(max(0.0, f_hat - half), beta, top_m, sign)
-    hi = _invert(min(f_hat + half, top), beta, top_m, sign)
+    lo = _invert(max(0.0, f_hat - half), beta, top_m, top, sign)
+    hi = _invert(min(f_hat + half, top), beta, top_m, top, sign)
     return m, (lo, hi)
 
 

@@ -44,7 +44,9 @@ class LoopAngles:
     """Rotation angle and amplitude ratio of the closed-form solution.
 
     cos(phi) == 1 - 2 eps^2 with phi carrying the sign of eps, so that
-    gamma*sin(phi) == 2 eps - 2 eps^2 holds for both signs;
+    gamma*sin(phi) == 2 eps - 2 eps^2 holds for both signs.  phi is
+    computed as 2 asin(eps), which is that angle without acos's
+    cancellation in 1 - 2 eps^2 at small |eps|;
     gamma == sqrt((1-eps)/(1+eps)), defined as 1 at eps == 0 (limit value).
     """
 
@@ -58,7 +60,7 @@ class LoopAngles:
             raise ParameterError(f"eps must lie in [-1, 1], got {eps}")
         if eps == 0.0:
             return cls(0.0, 0.0, 1.0)
-        phi = math.copysign(math.acos(1.0 - 2.0 * eps * eps), eps)
+        phi = 2.0 * math.asin(eps)
         gamma = math.sqrt((1.0 - eps) / (1.0 + eps)) if eps != 1.0 else 0.0
         return cls(eps, phi, gamma)
 

@@ -1,15 +1,21 @@
 """End-to-end experiment driver: preparation, amplification, readout."""
 
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmedian
 from qmedian import (
     ParameterError,
     RandomStream,
     RunPlan,
     amplification_loop,
+    bulk_uniforms,
     choose_alpha,
     choose_beta,
     conserved_quantity,
@@ -23,10 +29,11 @@ from qmedian import (
     prepare,
     probability_of,
     run_experiment,
-    sample,
 )
 from qmedian import driver
+from qmedian.model import _iterate_from_prepared
 from qmedian.rng import SALT_SAMPLES
+from qmedian.statevector import StateVector, sample, sample_many
 
 
 def head_oracle(n, n_below):
@@ -169,8 +176,10 @@ def test_sampled_experiment_deterministic_and_seed_sensitive():
 
 
 def test_resampling_every_draw_changes_nothing():
-    # oracle: re-prepare the register for every draw and sample it with that
-    # draw's own sub-stream; bulk sampling from one final state must agree
+    # on a prefix partition the below states lead the CDF, so index sampling
+    # from the evolved reference lands below exactly when u < exact_p: both
+    # re-preparing the register per draw and bulk index sampling from one
+    # evolved state equal the Bernoulli readout, draw for draw
     o = head_oracle(6, 36)
     plan = RunPlan(0.1, 0.1, 3.0, 64, 2, "sampled", 11)
     draw_seed = derive_seed(plan.seed, SALT_SAMPLES)
@@ -182,6 +191,31 @@ def test_resampling_every_draw_changes_nothing():
     res = run_experiment(o, plan)
     assert res.outcomes.tolist() == slow
     assert res.f_hat == sum(slow) / plan.alpha
+
+    for o, beta, ref in evolved_reference_grid((1, 5, 20)):
+        plan = RunPlan(0.1, 0.1, 3.0, 256, beta, "sampled", beta)
+        uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
+        want = o.below_mask[sample_many(ref, uniforms)]
+        assert run_experiment(o, plan).outcomes.tolist() == want.tolist()
+
+
+def test_sampled_outcomes_ignore_partition_order():
+    # a draw lands below with probability exact_p whichever states are below,
+    # so permuting the mask leaves every outcome unchanged
+    n, n_below = 10, 576
+    head = head_oracle(n, n_below)
+    perm = np.random.default_rng(5).permutation(1 << n)
+    shuffled = oracle_from_mask(n, perm[:n_below])
+    assert not np.array_equal(shuffled.below_mask, head.below_mask)
+    for beta in (1, 3, 7):
+        plan = RunPlan(0.1, 0.1, 3.0, 500, beta, "sampled", 2)
+        want = run_experiment(head, plan)
+        got = run_experiment(shuffled, plan)
+        uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
+        assert got.exact_p == want.exact_p
+        assert got.outcomes.tolist() == want.outcomes.tolist()
+        assert got.outcomes.tolist() == (uniforms < got.exact_p).tolist()
+        assert got.f_hat == np.count_nonzero(uniforms < got.exact_p) / plan.alpha
 
 
 def test_run_experiment_runs_no_register_transform(monkeypatch):
@@ -197,15 +231,18 @@ def test_run_experiment_runs_no_register_transform(monkeypatch):
     assert sampled.f_hat == 0.09
 
 
-def test_exact_experiment_builds_no_register(monkeypatch):
+def test_experiment_builds_no_register(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("exact run_experiment built the 2^n register")
+        raise AssertionError("run_experiment built or sampled the 2^n register")
 
-    for name in ("_final_state", "StateVector", "probability_of"):
+    for name in ("StateVector", "probability_of", "sample_many", "sample"):
         monkeypatch.setattr(driver, name, refuse)
-    res = run_experiment(head_oracle(10, 576),
-                         RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0))
-    assert res.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
+    o = head_oracle(10, 576)
+    exact = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0))
+    assert exact.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
+    sampled = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "sampled", 0))
+    assert sampled.exact_p == exact.exact_p
+    assert sampled.f_hat == 0.09
 
 
 def evolved_reference_grid(betas):
@@ -238,10 +275,31 @@ def test_experiment_exact_p_matches_evolved_reference():
 def test_model_built_register_matches_evolved_reference():
     for o, beta, ref in evolved_reference_grid((0, 1, 5, 20, 36, 100)):
         root_n = math.sqrt(o.size)
-        built = driver._final_state(o, beta)
+        pair = _iterate_from_prepared(o.eps, beta)
+        built = StateVector(o.n, np.where(o.below_mask, pair.k, pair.l) / root_n)
         assert np.abs(built.amps - ref.amps).max() * root_n < 1e-11
         assert abs(probability_of(built, o.below_mask)
                    - probability_of(ref, o.below_mask)) < 1e-13
+
+
+def test_sampled_estimate_at_max_bits_fits_in_768_mib():
+    # the 2^24 values take 128 MiB; a 2^24 complex register (256 MiB) and its
+    # float64 CDF (128 MiB) would not fit beside them
+    src = Path(qmedian.__file__).resolve().parent.parent
+    code = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
+        sys.path.insert(0, {str(src)!r})
+        import numpy as np
+        from qmedian import dataset_from_values, eps_est
+        rec = eps_est(dataset_from_values(np.arange(float(1 << 24))),
+                      2.0**23 + 2.0**19 + 0.5, mode="sampled", seed=0)
+        print(rec.verdict, rec.sign)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ok 1"
 
 
 def test_sampled_fraction_concentrates_near_exact():

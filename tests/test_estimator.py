@@ -90,6 +90,7 @@ def test_inversion_recovers_both_branches_in_few_evaluations(monkeypatch):
 
     def counted(eps, beta):
         evals["n"] += 1
+        evals[eps, beta] += 1
         return predicted_fraction(eps, beta)
 
     monkeypatch.setattr(estimator, "predicted_fraction", counted)
@@ -102,6 +103,15 @@ def test_inversion_recovers_both_branches_in_few_evaluations(monkeypatch):
                 m = _fit(f, None, 0.0, beta, hi, sign)[0]
                 assert abs(m - eps) <= 1e-12, (beta, sign, eps)
                 assert evals["n"] <= 24, (beta, sign, eps, evals["n"])
+
+    # a sampled fit inverts three fractions against one bracket top
+    for beta, sign in ((1, 1), (4, 1), (4, -1)):
+        top_m = 0.1 if sign > 0 else estimator.NEG_CAP / beta
+        evals.clear()
+        m, (lo, hi) = _fit(predicted_fraction(sign * 0.5 * top_m, beta), 400, 3.0,
+                           beta, 0.1, sign)
+        assert lo < m < hi
+        assert evals[sign * top_m, beta] == 1, (beta, sign)
 
 
 # ------------------------------------------------------------- intervals

@@ -2,6 +2,7 @@
 quantity, and the measured-fraction formula."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -134,9 +135,10 @@ def test_growth_law_approximation():
     assert TWO_SQRT2 == 2 * math.sqrt(2)
     ratios = {r: abs(k_closed_form(0.001, r)) / k_small_eps_approx(0.001, r)
               for r in (10, 20, 50)}
-    assert ratios[10] == pytest.approx(1.0247457197058902, rel=1e-12)
-    assert ratios[20] == pytest.approx(1.0118070363476586, rel=1e-12)
-    assert ratios[50] == pytest.approx(1.0028251242358746, rel=1e-12)
+    # exact values, from the loop_step recurrence in rational arithmetic
+    assert ratios[10] == pytest.approx(1.0247457197192547, rel=1e-12)
+    assert ratios[20] == pytest.approx(1.0118070363610177, rel=1e-12)
+    assert ratios[50] == pytest.approx(1.0028251242491781, rel=1e-12)
     with pytest.raises(ParameterError):
         k_small_eps_approx(-0.1, 5)
     with pytest.raises(ParameterError):
@@ -155,6 +157,21 @@ def test_amplitude_swells_until_half_then_rotates():
     assert r_star(0.002) == 91
     assert r_star(0.001) == 181
     assert r_star(0.0005) == 362
+
+
+def test_closed_form_matches_rational_recurrence_at_small_eps():
+    # the loop_step recurrence run exactly on the float eps; a loop angle
+    # taken as acos(1 - 2 eps^2) loses it to cancellation (phi rounds to 0
+    # at 1e-9), so the closed form must stay relatively exact down there
+    for eps in (1e-3, -1e-3, 1e-6, 1e-9):
+        e = Fraction(eps)
+        diag, off, off2 = 1 - 2 * e * e, 2 * e - 2 * e * e, 2 * e + 2 * e * e
+        kr, ki, lr, li = e, Fraction(0), 1 + e, Fraction(1)
+        for r in range(101):
+            want = complex(kr, ki)
+            assert abs(k_closed_form(eps, r) - want) <= 1e-12 * abs(want), (eps, r)
+            kr, ki, lr, li = (diag * kr + off * lr, diag * ki + off * li,
+                              -off2 * kr + diag * lr, -off2 * ki + diag * li)
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,8 +17,6 @@ from qmedian import (
     derive_seed,
     diffusion,
     probability_of,
-    sample,
-    sample_many,
     shift,
     uniform_state,
     walsh_hadamard,
@@ -32,7 +30,7 @@ from qmedian.dense import (
     dense_s,
     dense_t,
 )
-from qmedian.statevector import MAX_BITS, as_mask
+from qmedian.statevector import MAX_BITS, as_mask, sample, sample_many
 
 
 def rand_state(n: int, seed: int) -> StateVector:
