@@ -40,7 +40,6 @@ from .errors import (
     DataError,
     DatasetParseError,
     DatasetSizeError,
-    DegenerateThresholdError,
     FractionOutOfRange,
     NumericalError,
     ParameterError,
@@ -49,7 +48,6 @@ from .errors import (
 from .estimator import (
     EstimateRecord,
     eps_est,
-    resolve_sign,
     sign_bracket,
 )
 from .model import (
@@ -80,8 +78,7 @@ __all__ = [
     "__version__",
     # errors
     "QmedianError", "ParameterError", "DataError", "DatasetParseError",
-    "DatasetSizeError", "DegenerateThresholdError", "NumericalError",
-    "FractionOutOfRange",
+    "DatasetSizeError", "NumericalError", "FractionOutOfRange",
     # rng
     "mix64", "RandomStream", "derive_seed", "bulk_uniforms",
     # register
@@ -99,7 +96,7 @@ __all__ = [
     "RunPlan", "ExperimentResult", "prepare", "amplification_loop",
     "run_experiment", "choose_alpha", "choose_beta",
     # estimation
-    "EstimateRecord", "resolve_sign", "sign_bracket", "eps_est",
+    "EstimateRecord", "sign_bracket", "eps_est",
     # adaptive drivers
     "median_search", "median_search_counted",
     "bisection_steps",

@@ -25,11 +25,6 @@ class DatasetSizeError(DataError):
     """Dataset length is not a power of two (or a size cap was exceeded)."""
 
 
-class DegenerateThresholdError(DataError):
-    """No dataset value lies at or above the threshold, so the sign
-    perturbation has nothing to act on."""
-
-
 class NumericalError(QmedianError):
     """A numerical invariant (norm, tolerance) was violated at runtime."""
 

@@ -7,11 +7,10 @@ magnitude only to leading order, so estimation proceeds in three stages:
    secant (Illinois) iteration, with an interval from the Hoeffding band
    f_hat +- kappa*sqrt(1/alpha);
 2. resolve the sign.  Exact mode reads it off the partition counts before
-   any fit.  Sampled mode fits the positive branch first, then re-runs the
-   experiment with the threshold bumped just past the next at-or-above
-   value, which moves mass into the below set, so the magnitude grows for
-   a positive imbalance and shrinks for a negative one; a gated classical
-   probe decides when that comparison is noise;
+   any fit.  Sampled mode fits the positive branch first; once the
+   magnitude clears its confidence half-width, a classical probe of the
+   unamplified below probability (1 + eps)/2, gated at a fifth of eps0,
+   decides the sign, and a magnitude inside its noise leaves it undecided;
 3. fit a negative imbalance on the negative branch m -> f(-m, beta), which
    removes the small odd-order asymmetry between f(+eps) and f(-eps).
    Exact mode fits only that branch; sampled mode refits there.  Either
@@ -26,17 +25,15 @@ adaptive driver accepts the scale): in exact mode when the partition has
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .baseline import classical_estimate
 from .dataset import Dataset, ThresholdOracle, make_oracle
 from .driver import RunPlan, choose_alpha, choose_beta, run_experiment
-from .errors import DegenerateThresholdError, FractionOutOfRange, ParameterError
+from .errors import FractionOutOfRange, ParameterError
 from .model import predicted_fraction
-from .rng import SALT_PROBE, SALT_SIGN, derive_seed
+from .rng import SALT_PROBE, derive_seed
 
 BRACKET_TOL = 1e-12
 
@@ -176,71 +173,6 @@ def _fit_negative(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
         return None
 
 
-def _threshold_bump(d: Dataset, mu: float) -> float:
-    """Next threshold up: just past the smallest value at or above mu, so
-    that value (and its ties) flips into the below set."""
-    vals = d.values
-    at_or_above = vals[vals >= mu]
-    if at_or_above.size == 0:
-        raise DegenerateThresholdError(
-            f"no dataset value at or above threshold {mu!r}"
-        )
-    return float(np.nextafter(at_or_above.min(), math.inf))
-
-
-def _measure_magnitude(o: ThresholdOracle, plan: RunPlan,
-                       seed: int) -> Tuple[float, float]:
-    """One experiment inverted on the widest bracket.
-
-    Returns (magnitude, ci_half_width); magnitude is +inf when the fraction
-    exceeds even the widest bracket's range.
-    """
-    res = run_experiment(o, replace(plan, seed=seed))
-    alpha = None if plan.mode == "exact" else plan.alpha
-    try:
-        m, (lo, hi) = _fit(res.f_hat, alpha, plan.kappa, plan.beta,
-                           sign_bracket(plan.beta), 1)
-    except FractionOutOfRange:
-        return math.inf, 0.0
-    return m, 0.5 * (hi - lo)
-
-
-def resolve_sign(
-    d: Dataset,
-    mu: float,
-    plan: RunPlan,
-    baseline: Optional[Tuple[float, float]] = None,
-) -> Optional[int]:
-    """Sign of the imbalance at mu: +1, -1, or None when undecidable.
-    Sampled estimates use it; exact ones read the partition counts.
-
-    Measures the magnitude at mu and at the bumped threshold; raising the
-    threshold always moves mass into the below set, so the magnitude grows
-    for a positive imbalance and shrinks for a negative one.  Decisions
-    require the gap to clear the combined confidence half-widths.  (If the
-    value next above mu is heavily tied, the bump can overshoot; the
-    comparison then reflects the shifted partition.)
-
-    baseline optionally supplies an already-measured (magnitude,
-    ci_half_width) at mu under this plan, avoiding a duplicate experiment.
-    """
-    if baseline is None:
-        baseline = _measure_magnitude(make_oracle(d, mu), plan, plan.seed)
-    m0, hw0 = baseline
-    if not m0 > hw0 + _SLACK:  # indistinguishable from perfect balance
-        return None
-    o1 = make_oracle(d, _threshold_bump(d, mu))
-    m1, hw1 = _measure_magnitude(o1, plan, derive_seed(plan.seed, SALT_SIGN))
-    if math.isinf(m1):
-        return 1 if not math.isinf(m0) else None
-    slack = hw0 + hw1 + _SLACK
-    if m1 > m0 + slack:
-        return 1
-    if m1 < m0 - slack:
-        return -1
-    return None
-
-
 def _probe_sign(
     o: ThresholdOracle, plan: RunPlan, resolution: Optional[float] = None
 ) -> Optional[int]:
@@ -249,9 +181,8 @@ def _probe_sign(
 
     A classical draw sized so its noise gate equals ``resolution`` (default
     eps0) decides, returning None when the estimate is inside the gate.
-    Used when the amplified fraction overflowed the bracket, and as the
-    fallback when the bumped-threshold comparison is inconclusive under
-    sampling noise.
+    Used at eps0 when the amplified fraction overflowed the bracket, and at
+    a finer resolution when the fitted magnitude clears its half-width.
     """
     res = plan.eps0 if resolution is None else resolution
     m_probe = max(1, math.ceil((2.0 * plan.kappa / res) ** 2 - 1e-9))
@@ -282,11 +213,12 @@ def eps_est(
     [0, eps0] and attaches the confidence interval.  Exact mode takes the
     sign and the verdict from the partition, in that one experiment, and
     fits once on the sign's branch.  Sampled mode fits the positive branch,
-    resolves the sign via the bumped threshold, then the gated probe, and
-    refits a negative sign on the negative branch.  Both keep the positive
-    fit when the negative bracket cannot hold the fraction (a beta override
-    narrows it below eps0).  Verdict "eps_exceeds_eps0" comes with
-    eps_hat = sign * eps0 and interval (eps0, 1).
+    takes the sign from the gated classical probe when the magnitude clears
+    its half-width (None otherwise), and refits a negative sign on the
+    negative branch.  Both keep the positive fit when the negative bracket
+    cannot hold the fraction (a beta override narrows it below eps0).
+    Verdict "eps_exceeds_eps0" comes with eps_hat = sign * eps0 and
+    interval (eps0, 1).
     """
     if beta is None:
         beta = choose_beta(eps0)
@@ -311,11 +243,10 @@ def eps_est(
         except FractionOutOfRange:
             overflow, sgn = True, _probe_sign(o, plan)
         else:
-            hw = 0.5 * (ci[1] - ci[0])
-            sgn = resolve_sign(d, mu, plan, baseline=(m, hw))
-            if sgn is None and m > hw + _SLACK:
-                # magnitude resolved but the bump comparison drowned in sampling
-                # noise: let the gated classical probe pick the sign
+            sgn = None
+            if m > 0.5 * (ci[1] - ci[0]) + _SLACK:
+                # magnitude resolved past its noise: the gated classical
+                # probe picks the sign
                 sgn = _probe_sign(o, plan, resolution=_PROBE_RESOLUTION_FACTOR * eps0)
             if sgn == -1:
                 m, ci = _fit_negative(res.f_hat, alpha, kappa, beta, eps0) or (m, ci)

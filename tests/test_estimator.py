@@ -1,5 +1,5 @@
-"""Fraction inversion, confidence intervals, sign resolution, and the
-full signed-imbalance estimate."""
+"""Fraction inversion, confidence intervals, and the full signed-imbalance
+estimate with its sign."""
 
 import math
 from collections import Counter
@@ -11,11 +11,9 @@ from qmedian import estimator
 from qmedian import (
     FractionOutOfRange,
     ParameterError,
-    RunPlan,
     dataset_from_values,
     eps_est,
     predicted_fraction,
-    resolve_sign,
     sign_bracket,
 )
 from qmedian.estimator import _fit
@@ -130,15 +128,6 @@ def test_confidence_interval_band_endpoints():
     lo2, hi2 = _fit(f, 4000000, 3.0, 1, 0.1, 1)[1]
     assert lo2 < 0.05 < hi2
     assert hi2 - lo2 < 0.01
-
-
-# ------------------------------------------------------------- sign
-
-def test_resolve_sign_known_thresholds(d32):
-    plan = RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0)
-    assert resolve_sign(d32, 17.0, plan) == 1
-    assert resolve_sign(d32, 15.0, plan) == -1
-    assert resolve_sign(d32, 16.0, plan) is None
 
 
 # ------------------------------------------------------------- estimates
@@ -287,12 +276,16 @@ def test_estimate_detects_aliased_extreme_imbalance(d1024):
         assert 0.0 < rec.f_hat < 0.05  # the aliased fraction itself is tiny
 
 
-def test_estimate_exact_heavy_ties_just_above_mu():
-    # 100 tied ones just above mu: bumping the threshold past them would
-    # jump from eps = -1/128 to +0.1875; the partition keeps the sign
-    d = dataset_from_values(
+@pytest.fixture(scope="module")
+def d_ties():
+    # eps = -1/128 at mu = 0.5, with 100 tied ones just above it: moving the
+    # threshold past the next value would jump to eps = +0.1875
+    return dataset_from_values(
         np.concatenate([np.zeros(508), np.ones(100), np.arange(2.0, 418.0)]))
-    rec = eps_est(d, 0.5)
+
+
+def test_estimate_exact_heavy_ties_just_above_mu(d_ties):
+    rec = eps_est(d_ties, 0.5)
     assert (rec.verdict, rec.sign) == ("ok", -1)
     assert abs(rec.eps_hat + 0.0078125) < 1e-9
     assert rec.ci_lo == rec.ci_hi == -rec.eps_hat
@@ -307,14 +300,17 @@ def test_estimate_exact_runs_one_experiment(d1024, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("run_experiment", "make_oracle", "_threshold_bump"):
+    for name in ("run_experiment", "make_oracle"):
         monkeypatch.setattr(estimator, name, counted(name, getattr(estimator, name)))
-    # positive, negative, balanced, and overflow on either side
-    for mu in (543.5, 479.5, 512.0, 959.5, 0.5):
+    # exact: positive, negative, balanced, and overflow on either side;
+    # sampled: positive, negative, balanced, and overflow
+    cases = [(mu, {}) for mu in (543.5, 479.5, 512.0, 959.5, 0.5)]
+    cases += [(mu, dict(theta=0.01, mode="sampled", seed=3))
+              for mu in (543.5, 479.5, 512.0, 767.5)]
+    for mu, kwargs in cases:
         calls.clear()
-        eps_est(d1024, mu)
-        assert dict(calls) == {"run_experiment": 1, "make_oracle": 1}
-
+        eps_est(d1024, mu, **kwargs)
+        assert dict(calls) == {"run_experiment": 1, "make_oracle": 1}, (mu, kwargs)
 
 
 def test_estimate_exact_fits_once_on_the_partition_sign(d1024, monkeypatch):
@@ -361,6 +357,15 @@ def test_estimate_all_equal_dataset_exact():
         assert (rec.verdict, rec.sign, rec.eps_hat) == (
             "eps_exceeds_eps0", sign, sign * 0.1)
         assert (rec.ci_lo, rec.ci_hi) == (0.1, 1.0)
+
+
+def test_estimate_sampled_heavy_ties_never_read_positive(d_ties):
+    # eps = -1/128 clears the probe's gate at 0.2 * eps0; the sign may stay
+    # undecided when the magnitude is inside its noise, but is never +1
+    for seed in range(10):
+        rec = eps_est(d_ties, 0.5, eps0=0.0125, theta=0.01, mode="sampled",
+                      seed=seed)
+        assert rec.sign != 1, seed
 
 
 def test_estimate_sampled_mu_above_every_value(d1024):
