@@ -22,11 +22,10 @@ from typing import Tuple
 
 from .dataset import Dataset
 from .errors import ParameterError
-from .estimator import EstimateRecord, eps_est
+from .estimator import ACCEPT_FACTOR, EstimateRecord, eps_est
 from .rng import derive_seed
 
 _START_EPS0 = 0.1
-_ACCEPT_FACTOR = 0.2
 
 
 def _eps_est_adaptive_counted(
@@ -51,7 +50,7 @@ def _eps_est_adaptive_counted(
         )
         calls += 1
         if rec.sign is not None and (
-            rec.verdict != "ok" or abs(rec.eps_hat) > _ACCEPT_FACTOR * eps0
+            rec.verdict != "ok" or abs(rec.eps_hat) > ACCEPT_FACTOR * eps0
         ):
             return rec, calls
         if eps0 / 2.0 <= eps_min:

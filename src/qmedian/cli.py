@@ -29,24 +29,20 @@ import sys
 import tempfile
 from typing import List, Optional
 
-import numpy as np
-
 from .adaptive import median_search_counted
 from .baseline import classical_estimate
-from .checks import run_checks
+from .checks import evolve, grid_oracle, run_checks
 from .dataset import (
     dataset_to_text,
     make_oracle,
-    oracle_from_mask,
     rank_below,
     read_dataset,
     synth_dataset,
 )
-from .driver import amplification_loop, prepare
 from .errors import DataError, NumericalError, ParameterError, QmedianError
 from .estimator import EstimateRecord, eps_est
 from .model import k_closed_form, k_small_eps_approx, predicted_fraction
-from .statevector import _check_bits, probability_of
+from .statevector import _check_bits
 
 _MODE_ALIASES = {"exact": "exact", "sampled": "sampled", "sample": "sampled"}
 
@@ -263,15 +259,13 @@ def cmd_sweep(ns) -> int:
     if with_exact:
         header += ",p_below_exact,abs_err"
         _check_bits(ns.n)
-        size = 1 << ns.n
-        b_real = (1.0 + eps) * size / 2.0
+        b_real = (1.0 + eps) * (1 << ns.n) / 2.0
         n_below = round(b_real)
         if abs(b_real - n_below) > 1e-9:
             raise ParameterError(
                 f"eps={eps} is not on the n={ns.n} grid (nearest below-count {n_below})"
             )
-        o = oracle_from_mask(ns.n, np.arange(size) < n_below)
-        state = prepare(o)
+        passes = evolve(grid_oracle(ns.n, n_below), ns.beta_max)
     lines = [header + "\n"]
 
     def g(x: float) -> str:
@@ -283,10 +277,8 @@ def cmd_sweep(ns) -> int:
         row = [str(r), g(k.real), g(k.imag), g(abs(k)),
                g(k_small_eps_approx(abs(eps), r)), g(p_model)]
         if with_exact:
-            p_exact = probability_of(state, o.below_mask)
+            p_exact = next(passes).p
             row += [g(p_exact), g(abs(p_exact - p_model))]
-            if r < ns.beta_max:
-                amplification_loop(state, o, 1)
         lines.append(",".join(row) + "\n")
     _atomic_write(ns.csv, "".join(lines))
     return 0

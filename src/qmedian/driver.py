@@ -8,12 +8,12 @@ Every step maps flat amplitudes to flat amplitudes, so the experiment
 reduces to the model's (k, l) pair after beta passes: k/sqrt(N) on every
 below state, l/sqrt(N) on every above state.  One measurement therefore
 lands below with probability exact_p = (n_below/N)|k|^2, independently per
-draw, so both modes read the experiment off the pair and build no
-register: exact mode reports exact_p, and sampled mode takes alpha
-Bernoulli(exact_p) draws, one uniform per draw from the plan seed's sample
-sub-stream.  ``prepare`` and ``amplification_loop`` evolve all 2^n
-amplitudes instead; they are the register-level reference that the checks
-and tests compare against.
+draw: since n_below/N == (1+eps)/2, that is the closed form
+``predicted_fraction(eps, beta)`` the estimator inverts.  Exact mode
+reports it, and sampled mode takes alpha Bernoulli(exact_p) draws, one
+uniform per draw from the plan seed's sample sub-stream; neither builds a
+register.  ``prepare`` and ``amplification_loop`` evolve all 2^n
+amplitudes instead, as the reference in ``qmedian.checks``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataset import ThresholdOracle
 from .errors import ParameterError
-from .model import _iterate_from_prepared
+from .model import predicted_fraction
 from .rng import SALT_SAMPLES, bulk_uniforms, derive_seed
 from .statevector import (
     StateVector,
@@ -83,7 +83,7 @@ class ExperimentResult:
 
     f_hat is the measured below-threshold fraction (equals exact_p in exact
     mode); exact_p is always the exact below probability, (n_below/N)|k|^2
-    from the model pair after beta passes;
+    after beta passes, read off the model's closed form;
     outcomes holds the per-sample below/above booleans in sampled mode,
     alpha independent Bernoulli(exact_p) draws.
     """
@@ -143,14 +143,13 @@ def amplification_loop(state: StateVector, o: ThresholdOracle, beta: int) -> Sta
 def run_experiment(o: ThresholdOracle, plan: RunPlan) -> ExperimentResult:
     """Run the full experiment for one oracle under one plan.
 
-    Both modes read the below probability exact_p off the model pair and
+    Both modes read the below probability exact_p off the closed form and
     build no register.  Exact mode reports it; sampled mode counts draw j
     below when its uniform u_j < exact_p, over plan.alpha draws, and
     reports the fraction that landed below.  Deterministic given (oracle,
     plan).
     """
-    k = _iterate_from_prepared(o.eps, plan.beta).k
-    exact_p = o.n_below / o.size * (k.real * k.real + k.imag * k.imag)
+    exact_p = predicted_fraction(o.eps, plan.beta)
     if plan.mode == "exact":
         return ExperimentResult(exact_p, exact_p, plan.alpha, None)
 

@@ -46,15 +46,15 @@ MONOTONE_CAP = 0.45
 # [0, NEG_CAP/beta] (narrower: the branches differ at odd orders in eps).
 NEG_CAP = 0.1
 
-# Forgives simulator-vs-model rounding at the very top of a bracket; a
-# genuinely out-of-range fraction overshoots by orders of magnitude more.
+# Forgives rounding at the very top of a bracket; a genuinely out-of-range
+# fraction overshoots by orders of magnitude more.
 _TOP_TOL = 1e-9
 
 _SLACK = 1e-9
 
-# Finest imbalance the sign probe must still resolve, as a fraction of the
-# scale bound: matches the smallest magnitude the adaptive driver accepts.
-_PROBE_RESOLUTION_FACTOR = 0.2
+# Smallest imbalance magnitude the adaptive driver accepts, as a fraction of
+# the scale bound; the sign probe must still resolve it.
+ACCEPT_FACTOR = 0.2
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ def eps_est(
             if m > 0.5 * (ci[1] - ci[0]) + _SLACK:
                 # magnitude resolved past its noise: the gated classical
                 # probe picks the sign
-                sgn = _probe_sign(o, plan, resolution=_PROBE_RESOLUTION_FACTOR * eps0)
+                sgn = _probe_sign(o, plan, resolution=ACCEPT_FACTOR * eps0)
             if sgn == -1:
                 m, ci = _fit_negative(res.f_hat, alpha, kappa, beta, eps0) or (m, ci)
     if overflow:

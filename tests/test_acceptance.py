@@ -10,7 +10,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 import qmedian
 from qmedian import (
@@ -25,26 +24,22 @@ from qmedian import (
     k_closed_form,
     make_oracle,
     median_search,
-    oracle_from_mask,
     predicted_fraction,
-    prepare,
-    probability_of,
     rank_below,
     run_experiment,
     shift,
     walsh_hadamard,
 )
-from qmedian.checks import random_mask, random_state
-from qmedian.dense import dense_d, dense_f, dense_r, dense_s, dense_t
-from qmedian.driver import amplification_loop
+from qmedian.checks import (
+    check_factorization,
+    evolve,
+    grid_oracle,
+    random_mask,
+    random_state,
+)
+from qmedian.dense import dense_d, dense_r, dense_s, dense_t
 from qmedian.model import TWO_SQRT2
 from qmedian.rng import RandomStream
-
-
-def _head_oracle(n, n_below):
-    mask = np.zeros(1 << n, dtype=bool)
-    mask[:n_below] = True
-    return oracle_from_mask(n, mask)
 
 
 # --------------------------------------------------------------- A1 / A2
@@ -74,86 +69,37 @@ def test_a01_register_operations_preserve_norm():
 
 def test_a02_conjugation_factorizations_match_dense_operators():
     start = time.monotonic()
-    worst = 0.0
-    for n in range(1, 6):
-        f = dense_f(n)
-        worst = max(worst, np.abs(f @ dense_t(n) @ f - dense_d(n)).max())
-        worst = max(worst, np.abs(f @ dense_r(n) @ f - dense_s(n)).max())
-    assert worst < 1e-12
+    assert check_factorization(5, dense_t, dense_d) < 1e-12
+    assert check_factorization(5, dense_r, dense_s) < 1e-12
     assert time.monotonic() - start < 5.0
 
 
 # --------------------------------------------------------------- A3 / A5
 
-@pytest.fixture(scope="module")
-def grid_sweep():
-    """One pass over every grid imbalance with |eps| <= 0.25 for n = 4..12:
-    records preparation errors and, per beta in {1, 5, 20}, the gap between
-    the simulated below probability and the analytic fraction."""
-    worst = {"below": 0.0, "above": 0.0, "flat": 0.0, "p": 0.0}
-    betas = (1, 5, 20)
+def grid_passes(loops):
+    """Every pass r <= loops over every grid imbalance with |eps| <= 0.25
+    for n = 4..12 (head partitions)."""
     for n in range(4, 13):
         size = 1 << n
-        root = math.sqrt(size)
         for b in range(3 * size // 8, 5 * size // 8 + 1):
-            eps = (2 * b - size) / size
-            o = _head_oracle(n, b)
-            st = prepare(o)
-            below = st.amps[:b]
-            above = st.amps[b:]
-            worst["below"] = max(
-                worst["below"], np.abs(below - eps / root).max(initial=0.0))
-            worst["above"] = max(
-                worst["above"], np.abs(above - ((1 + eps) + 1j) / root).max())
-            for part in (below, above):
-                if part.size:
-                    spread = max(np.ptp(part.real), np.ptp(part.imag))
-                    worst["flat"] = max(worst["flat"], spread)
-            done = 0
-            for beta in betas:
-                amplification_loop(st, o, beta - done)
-                done = beta
-                p = probability_of(st, o.below_mask)
-                worst["p"] = max(worst["p"], abs(p - predicted_fraction(eps, beta)))
-    return worst
+            yield from evolve(grid_oracle(n, b), loops)
 
 
-def test_a03_preparation_amplitudes_and_flatness(grid_sweep):
-    assert grid_sweep["below"] < 1e-12
-    assert grid_sweep["above"] < 1e-12
-    assert grid_sweep["flat"] < 1e-12
+def test_a03_preparation_amplitudes_and_flatness():
+    assert max(p.amp_err for p in grid_passes(0)) < 1e-12
 
 
 def test_a04_simulated_loop_tracks_closed_form_for_hundred_passes():
-    n, b = 10, 576
-    size = 1 << n
-    root = math.sqrt(size)
-    eps = (2 * b - size) / size
-    assert eps == 0.125
-    o = _head_oracle(n, b)
-    st = prepare(o)
-
-    def conserved():
-        k = complex(st.amps[0]) * root
-        l = complex(st.amps[-1]) * root
-        return (1 + eps) * abs(k) ** 2 + (1 - eps) * abs(l) ** 2
-
-    worst_k = abs(complex(st.amps[0]) * root - k_closed_form(eps, 0))
-    worst_drift = 0.0
-    prev = conserved()
-    for r in range(1, 101):
-        amplification_loop(st, o, 1)
-        worst_k = max(
-            worst_k, abs(complex(st.amps[0]) * root - k_closed_form(eps, r)))
-        cur = conserved()
-        worst_drift = max(worst_drift, abs(cur - prev))
-        prev = cur
-    assert worst_k < 1e-10
-    assert worst_drift < 1e-12
+    o = grid_oracle(10, 576)
+    assert o.eps == 0.125
+    passes = list(evolve(o, 100))
+    assert max(p.pair_err for p in passes) < 1e-10
+    assert max(p.conserved_err for p in passes) < 1e-12
+    assert max(p.norm_err for p in passes) < 1e-12
 
 
-def test_a05_measured_fraction_matches_analytic_formula(grid_sweep):
-    assert grid_sweep["p"] < 1e-12
+def test_a05_measured_fraction_matches_analytic_formula():
+    assert max(p.p_err for p in grid_passes(20)) < 1e-12
     assert abs(predicted_fraction(0.125, 1) - 0.10275650024414063) < 1e-13
 
 
@@ -193,7 +139,7 @@ def test_a07_exact_round_trip_on_every_grid_point():
 # -------------------------------------------------------------------- A8
 
 def test_a08_sampled_fraction_inside_band_for_twenty_seeds():
-    o = _head_oracle(10, 576)
+    o = grid_oracle(10, 576)
     bound = 5.0 * math.sqrt(1.0 / 10000)
     for seed in range(20):
         res = run_experiment(o, RunPlan(0.1, 0.01, 5.0, 10000, 1, "sampled", seed))

@@ -1,5 +1,7 @@
 """Built-in verification suite."""
 
+import importlib
+
 import pytest
 
 from qmedian import CheckResult, ParameterError, run_checks
@@ -40,3 +42,25 @@ def test_register_size_validation():
         run_checks(0)
     with pytest.raises(ParameterError):
         run_checks(25)
+
+
+@pytest.mark.parametrize("module, name, flagged", [
+    ("qmedian.driver", "diffusion", ("conservation", "closed_form")),
+    ("qmedian.driver", "shift", ("preparation",)),
+    ("qmedian.checks", "walsh_hadamard", ("unitarity",)),
+])
+def test_planted_fault_is_reported(monkeypatch, module, name, flagged):
+    # one reference serves check and the acceptance tests, so a bug that
+    # hid errors would silence both: a transform perturbed by about 1e-9
+    # must show in the check that covers it
+    exact = getattr(importlib.import_module(module), name)
+
+    def perturbed(state):
+        exact(state)
+        state.amps[0] += 1e-9
+        return state
+
+    monkeypatch.setattr(f"{module}.{name}", perturbed)
+    errors = {r.name: r.max_err for r in run_checks(6, seed=1)}
+    for check in flagged:
+        assert errors[check] > 1e-10, check

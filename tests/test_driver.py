@@ -18,26 +18,29 @@ from qmedian import (
     bulk_uniforms,
     choose_alpha,
     choose_beta,
-    conserved_quantity,
     dataset_from_values,
     derive_seed,
-    k_closed_form,
-    l_closed_form,
     make_oracle,
-    oracle_from_mask,
     predicted_fraction,
     prepare,
-    probability_of,
     run_experiment,
 )
 from qmedian import driver
-from qmedian.model import _iterate_from_prepared
+from qmedian.checks import evolve, grid_oracle
 from qmedian.rng import SALT_SAMPLES
-from qmedian.statevector import StateVector, sample, sample_many
+from qmedian.statevector import sample, sample_many
 
 
-def head_oracle(n, n_below):
-    return oracle_from_mask(n, list(range(n_below)))
+def reference_oracles():
+    """Head oracles over n in {1, 2, 4, 8, 10, 12}: below-counts
+    {0, 1, N/2, N-1, N} plus a stride over |eps| <= 0.25."""
+    for n in (1, 2, 4, 8, 10, 12):
+        size = 1 << n
+        lo, hi = math.ceil(size * 0.375), math.floor(size * 0.625)
+        counts = {0, 1, size // 2, size - 1, size}
+        counts.update(range(lo, hi + 1, max(1, (hi - lo) // 8)))
+        for n_below in sorted(counts):
+            yield grid_oracle(n, n_below)
 
 
 # --------------------------------------------------------- parameter choice
@@ -92,7 +95,7 @@ def test_run_plan_validation():
 # --------------------------------------------------------- preparation
 
 def test_prepare_amplitudes_small_register():
-    o = head_oracle(5, 18)  # eps = (36 - 32)/32 = 0.125
+    o = grid_oracle(5, 18)  # eps = (36 - 32)/32 = 0.125
     assert o.eps == 0.125
     state = prepare(o)
     below = state.amps[o.below_mask]
@@ -104,34 +107,14 @@ def test_prepare_amplitudes_small_register():
 
 
 def test_prepare_matches_model_across_grid():
-    n = 8
-    size = 1 << n
-    scale = math.sqrt(1.0 / size)
     for n_below in (96, 128, 129, 160):
-        o = head_oracle(n, n_below)
-        state = prepare(o)
-        below = state.amps[o.below_mask]
-        above = state.amps[o.above_mask]
-        assert np.max(np.abs(below - o.eps * scale)) < 1e-13
-        assert np.max(np.abs(above - complex(1 + o.eps, 1) * scale)) < 1e-13
-
-
-def test_amplification_loop_tracks_closed_form():
-    n = 10
-    o = head_oracle(n, 576)
-    assert o.eps == 0.125
-    root_n = math.sqrt(1 << n)
-    state = prepare(o)
-    for r in range(101):
-        k_sim = complex(state.amps[0]) * root_n
-        l_sim = complex(state.amps[-1]) * root_n
-        assert abs(k_sim - k_closed_form(o.eps, r)) < 1e-10
-        assert abs(l_sim - l_closed_form(o.eps, r)) < 1e-10
-        amplification_loop(state, o, 1)
+        for o in (grid_oracle(8, n_below), grid_oracle(8, n_below, seed=n_below)):
+            for p in evolve(o, 0):
+                assert p.amp_err < 1e-13
 
 
 def test_amplification_loop_zero_passes_is_identity():
-    o = head_oracle(4, 10)
+    o = grid_oracle(4, 10)
     state = prepare(o)
     before = state.amps.copy()
     amplification_loop(state, o, 0)
@@ -143,7 +126,7 @@ def test_amplification_loop_zero_passes_is_identity():
 # --------------------------------------------------------- experiments
 
 def test_exact_experiment_reads_model_fraction():
-    o = head_oracle(10, 576)
+    o = grid_oracle(10, 576)
     plan = RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0)
     res = run_experiment(o, plan)
     assert res.f_hat == res.exact_p
@@ -154,7 +137,7 @@ def test_exact_experiment_reads_model_fraction():
 
 
 def test_sampled_experiment_known_counts():
-    o = head_oracle(10, 576)
+    o = grid_oracle(10, 576)
     plan = RunPlan(0.1, 0.1, 3.0, 100, 1, "sampled", 0)
     res = run_experiment(o, plan)
     assert res.f_hat == 0.09
@@ -165,7 +148,7 @@ def test_sampled_experiment_known_counts():
 
 
 def test_sampled_experiment_deterministic_and_seed_sensitive():
-    o = head_oracle(8, 144)
+    o = grid_oracle(8, 144)
     plan = RunPlan(0.1, 0.1, 3.0, 500, 1, "sampled", 7)
     a = run_experiment(o, plan)
     b = run_experiment(o, plan)
@@ -180,7 +163,7 @@ def test_resampling_every_draw_changes_nothing():
     # from the evolved reference lands below exactly when u < exact_p: both
     # re-preparing the register per draw and bulk index sampling from one
     # evolved state equal the Bernoulli readout, draw for draw
-    o = head_oracle(6, 36)
+    o = grid_oracle(6, 36)
     plan = RunPlan(0.1, 0.1, 3.0, 64, 2, "sampled", 11)
     draw_seed = derive_seed(plan.seed, SALT_SAMPLES)
     slow = [
@@ -192,20 +175,21 @@ def test_resampling_every_draw_changes_nothing():
     assert res.outcomes.tolist() == slow
     assert res.f_hat == sum(slow) / plan.alpha
 
-    for o, beta, ref in evolved_reference_grid((1, 5, 20)):
-        plan = RunPlan(0.1, 0.1, 3.0, 256, beta, "sampled", beta)
-        uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
-        want = o.below_mask[sample_many(ref, uniforms)]
-        assert run_experiment(o, plan).outcomes.tolist() == want.tolist()
+    for o in reference_oracles():
+        for p in evolve(o, 20):
+            if p.r in (1, 5, 20):
+                plan = RunPlan(0.1, 0.1, 3.0, 256, p.r, "sampled", p.r)
+                uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
+                want = o.below_mask[sample_many(p.state, uniforms)]
+                assert run_experiment(o, plan).outcomes.tolist() == want.tolist()
 
 
 def test_sampled_outcomes_ignore_partition_order():
     # a draw lands below with probability exact_p whichever states are below,
     # so permuting the mask leaves every outcome unchanged
     n, n_below = 10, 576
-    head = head_oracle(n, n_below)
-    perm = np.random.default_rng(5).permutation(1 << n)
-    shuffled = oracle_from_mask(n, perm[:n_below])
+    head = grid_oracle(n, n_below)
+    shuffled = grid_oracle(n, n_below, seed=5)
     assert not np.array_equal(shuffled.below_mask, head.below_mask)
     for beta in (1, 3, 7):
         plan = RunPlan(0.1, 0.1, 3.0, 500, beta, "sampled", 2)
@@ -224,7 +208,7 @@ def test_run_experiment_runs_no_register_transform(monkeypatch):
 
     for name in ("uniform_state", "conditional_phase", "diffusion", "shift"):
         monkeypatch.setattr(driver, name, refuse)
-    o = head_oracle(10, 576)
+    o = grid_oracle(10, 576)
     exact = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0))
     assert exact.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
     sampled = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "sampled", 0))
@@ -237,7 +221,7 @@ def test_experiment_builds_no_register(monkeypatch):
 
     for name in ("StateVector", "probability_of", "sample_many", "sample"):
         monkeypatch.setattr(driver, name, refuse)
-    o = head_oracle(10, 576)
+    o = grid_oracle(10, 576)
     exact = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0))
     assert exact.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
     sampled = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "sampled", 0))
@@ -245,41 +229,23 @@ def test_experiment_builds_no_register(monkeypatch):
     assert sampled.f_hat == 0.09
 
 
-def evolved_reference_grid(betas):
-    """(oracle, beta, amplification_loop(prepare(o), o, beta)) over
-    n in {1, 2, 4, 8, 10, 12}, below-counts {0, 1, N/2, N-1, N} plus a
-    stride over |eps| <= 0.25, and the given increasing betas."""
-    for n in (1, 2, 4, 8, 10, 12):
-        size = 1 << n
-        lo, hi = math.ceil(size * 0.375), math.floor(size * 0.625)
-        counts = {0, 1, size // 2, size - 1, size}
-        counts.update(range(lo, hi + 1, max(1, (hi - lo) // 8)))
-        for n_below in sorted(counts):
-            o = head_oracle(n, n_below)
-            ref = prepare(o)
-            done = 0
-            for beta in betas:
-                amplification_loop(ref, o, beta - done)
-                done = beta
-                yield o, beta, ref
-
-
 def test_experiment_exact_p_matches_evolved_reference():
-    for o, beta, ref in evolved_reference_grid((1, 5, 20, 36, 100)):
-        want = probability_of(ref, o.below_mask)
-        for mode in ("exact", "sampled"):
-            plan = RunPlan(0.1, 0.1, 3.0, 8, beta, mode, 0)
-            assert abs(run_experiment(o, plan).exact_p - want) < 1e-13
+    for o in reference_oracles():
+        for p in evolve(o, 100):
+            if p.r in (1, 5, 20, 36, 100):
+                for mode in ("exact", "sampled"):
+                    plan = RunPlan(0.1, 0.1, 3.0, 8, p.r, mode, 0)
+                    assert abs(run_experiment(o, plan).exact_p - p.p) < 1e-13
 
 
 def test_model_built_register_matches_evolved_reference():
-    for o, beta, ref in evolved_reference_grid((0, 1, 5, 20, 36, 100)):
+    # the register built from the model pair, k/sqrt(N) below and l/sqrt(N)
+    # above, equals the evolved one entrywise on every pass
+    for o in reference_oracles():
         root_n = math.sqrt(o.size)
-        pair = _iterate_from_prepared(o.eps, beta)
-        built = StateVector(o.n, np.where(o.below_mask, pair.k, pair.l) / root_n)
-        assert np.abs(built.amps - ref.amps).max() * root_n < 1e-11
-        assert abs(probability_of(built, o.below_mask)
-                   - probability_of(ref, o.below_mask)) < 1e-13
+        for p in evolve(o, 100):
+            assert p.amp_err * root_n < 1e-11
+            assert p.p_err < 1e-13
 
 
 def test_sampled_estimate_at_max_bits_fits_in_768_mib():
@@ -303,31 +269,10 @@ def test_sampled_estimate_at_max_bits_fits_in_768_mib():
 
 
 def test_sampled_fraction_concentrates_near_exact():
-    o = head_oracle(10, 576)
+    o = grid_oracle(10, 576)
     plan = RunPlan(0.1, 0.01, 5.0, 10000, 1, "sampled", 3)
     res = run_experiment(o, plan)
     assert abs(res.f_hat - res.exact_p) <= 5.0 * math.sqrt(1.0 / 10000)
-
-
-def test_experiment_preserves_conserved_pair_quantity():
-    o = head_oracle(10, 576)
-    root_n = math.sqrt(1 << 10)
-    state = prepare(o)
-    for _ in range(50):
-        amplification_loop(state, o, 1)
-        k = complex(state.amps[0]) * root_n
-        l = complex(state.amps[-1]) * root_n
-        c = (1 + o.eps) * abs(k) ** 2 + (1 - o.eps) * abs(l) ** 2
-        assert abs(c - 2.0) < 1e-12
-        assert abs(state.norm_sq() - 1.0) < 1e-12
-
-
-def test_below_probability_after_loop_matches_formula_negative_side():
-    o = head_oracle(10, 448)  # eps = -0.125
-    assert o.eps == -0.125
-    state = amplification_loop(prepare(o), o, 3)
-    p = probability_of(state, o.below_mask)
-    assert abs(p - predicted_fraction(-0.125, 3)) < 1e-12
 
 
 def test_run_experiment_with_real_dataset_oracle():

@@ -12,7 +12,6 @@ from qmedian import (
     ParameterError,
     RandomStream,
     StateVector,
-    bulk_uniforms,
     conditional_phase,
     derive_seed,
     diffusion,
@@ -21,6 +20,7 @@ from qmedian import (
     uniform_state,
     walsh_hadamard,
 )
+from qmedian.checks import random_mask, random_state
 from qmedian.dense import (
     MAX_DENSE_BITS,
     apply_dense,
@@ -31,14 +31,6 @@ from qmedian.dense import (
     dense_t,
 )
 from qmedian.statevector import MAX_BITS, as_mask, sample, sample_many
-
-
-def rand_state(n: int, seed: int) -> StateVector:
-    size = 1 << n
-    re = bulk_uniforms(derive_seed(seed, 1), size) - 0.5
-    im = bulk_uniforms(derive_seed(seed, 2), size) - 0.5
-    amps = (re + 1j * im).astype(np.complex128)
-    return StateVector(n, amps / math.sqrt(float(np.sum(np.abs(amps) ** 2))))
 
 
 # ------------------------------------------------------------ construction
@@ -99,14 +91,14 @@ def test_walsh_hadamard_collapses_uniform_state():
 
 
 def test_walsh_hadamard_is_involution():
-    orig = rand_state(6, 11)
+    orig = random_state(6, 11)
     back = walsh_hadamard(walsh_hadamard(orig.copy()))
     assert np.max(np.abs(back.amps - orig.amps)) < 1e-14
 
 
 def test_walsh_hadamard_matches_dense_matrix():
     for n in range(1, MAX_DENSE_BITS + 1):
-        s = rand_state(n, 100 + n)
+        s = random_state(n, 100 + n)
         got = walsh_hadamard(s.copy()).amps
         want = apply_dense(dense_f(n), s).amps
         assert np.max(np.abs(got - want)) < 1e-13
@@ -136,7 +128,7 @@ def test_conditional_phase_half_pi_multiplies_by_i():
 
 
 def test_conditional_phase_general_angle():
-    s = rand_state(3, 5)
+    s = random_state(3, 5)
     a0 = s.amps.copy()
     conditional_phase(s, [0, 7], 0.7)
     w = complex(math.cos(0.7), math.sin(0.7))
@@ -145,7 +137,7 @@ def test_conditional_phase_general_angle():
 
 
 def test_conditional_phase_zero_angle_is_identity():
-    s = rand_state(3, 6)
+    s = random_state(3, 6)
     a0 = s.amps.copy()
     conditional_phase(s, [1, 2], 0.0)
     assert np.all(s.amps == a0)
@@ -160,7 +152,7 @@ def test_diffusion_is_inversion_about_mean():
 
 def test_diffusion_matches_dense_factorization():
     for n in range(1, MAX_DENSE_BITS + 1):
-        s = rand_state(n, 200 + n)
+        s = random_state(n, 200 + n)
         got = diffusion(s.copy()).amps
         want = apply_dense(dense_f(n) @ dense_t(n) @ dense_f(n), s).amps
         assert np.max(np.abs(got - want)) < 1e-13
@@ -170,7 +162,7 @@ def test_diffusion_matches_dense_factorization():
 
 def test_shift_matches_dense_factorization():
     for n in range(1, MAX_DENSE_BITS + 1):
-        s = rand_state(n, 300 + n)
+        s = random_state(n, 300 + n)
         got = shift(s.copy()).amps
         want = apply_dense(dense_f(n) @ dense_r(n) @ dense_f(n), s).amps
         assert np.max(np.abs(got - want)) < 1e-13
@@ -205,8 +197,8 @@ def test_dense_size_cap():
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32),
        st.floats(min_value=-7.0, max_value=7.0, allow_nan=False))
 def test_all_transforms_preserve_norm(n, seed, angle):
-    s = rand_state(n, seed)
-    mask = bulk_uniforms(derive_seed(seed, 3), 1 << n) < 0.5
+    s = random_state(n, seed)
+    mask = random_mask(n, seed)
     for op in (walsh_hadamard, diffusion, shift,
                lambda x: conditional_phase(x, mask, angle)):
         assert abs(op(s.copy()).norm_sq() - 1.0) < 1e-12
@@ -240,7 +232,7 @@ def test_sample_uses_cdf_order():
 
 
 def test_sample_many_matches_scalar_sample():
-    s = rand_state(5, 77)
+    s = random_state(5, 77)
     seeds = [derive_seed(9, j) for j in range(32)]
     uniforms = np.array([RandomStream(x).next_float() for x in seeds])
     got = sample_many(s, uniforms)
