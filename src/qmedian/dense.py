@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .statevector import StateVector
 
 MAX_DENSE_BITS = 6
 
@@ -70,9 +69,3 @@ def dense_s(n: int) -> np.ndarray:
     np.fill_diagonal(out, 1.0 / size - 1j * (size - 1) / size)
     return out
 
-
-def apply_dense(matrix: np.ndarray, state: StateVector) -> StateVector:
-    """Multiply a dense oracle into a fresh copy of the state."""
-    if matrix.shape != (state.size, state.size):
-        raise ParameterError("matrix dimension does not match state")
-    return StateVector(state.n, matrix @ state.amps)

@@ -97,8 +97,10 @@ class ExperimentResult:
 def choose_beta(eps0: float) -> int:
     """Loop count for a given prior bound: max(1, floor(1/(20*eps0))).
 
-    Guarantees beta*|eps| <= 0.1 for every |eps| <= eps0, which keeps the
-    fraction-vs-imbalance curve strictly monotone (invertible).
+    Keeps beta*eps0 <= 0.05, or <= 0.1 where eps0 > 0.05 forces beta = 1,
+    well inside MONOTONE_CAP = 0.45 (``estimator.sign_bracket``), the
+    product up to which both branches of the fraction curve are strictly
+    monotone (invertible).
     """
     if not (0.0 < eps0 <= 0.1):
         raise ParameterError(f"eps0 must be in (0, 0.1], got {eps0}")

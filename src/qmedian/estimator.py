@@ -13,9 +13,10 @@ magnitude only to leading order, so estimation proceeds in three stages:
    decides the sign, and a magnitude inside its noise leaves it undecided;
 3. fit a negative imbalance on the negative branch m -> f(-m, beta), which
    removes the small odd-order asymmetry between f(+eps) and f(-eps).
-   Exact mode fits only that branch; sampled mode refits there.  Either
-   keeps the positive fit when the narrower negative bracket cannot hold
-   the fraction.
+   Both branches are monotone on the same bracket [0, eps0].  Exact mode
+   fits only the sign's branch, once.  Sampled mode refits there, and
+   keeps the positive fit when sampling noise puts the fraction between
+   f(-eps0) and f(+eps0).
 
 An imbalance beyond the prior bound eps0 is a verdict, not an error (the
 adaptive driver accepts the scale): in exact mode when the partition has
@@ -37,14 +38,11 @@ from .rng import SALT_PROBE, derive_seed
 
 BRACKET_TOL = 1e-12
 
-# The fraction curve eps -> f(eps, beta) peaks near beta*eps ~ 0.53..0.79;
-# it is verified strictly increasing on [0, MONOTONE_CAP/beta] for every
-# beta up to 200, which is the widest bracket any caller here uses.
+# Both branches m -> f(+m, beta) and m -> f(-m, beta) peak near
+# beta*m ~ 0.53..0.79; each is verified strictly increasing on
+# [0, MONOTONE_CAP/beta] for every beta up to 200, which is the widest
+# bracket any caller here uses.
 MONOTONE_CAP = 0.45
-
-# On the negative branch, m -> f(-m, beta) is strictly increasing on
-# [0, NEG_CAP/beta] (narrower: the branches differ at odd orders in eps).
-NEG_CAP = 0.1
 
 # Forgives rounding at the very top of a bracket; a genuinely out-of-range
 # fraction overshoots by orders of magnitude more.
@@ -134,8 +132,8 @@ def _invert(f_hat: float, beta: int, top_m: float, top: float, sign: int) -> flo
 def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
          eps_hi: float, sign: int) -> Tuple[float, Tuple[float, float]]:
     """Magnitude and interval on the branch m -> f(sign*m, beta), bracketed
-    by [0, eps_hi] (sign +1) or the narrower [0, min(eps_hi, NEG_CAP/beta)]
-    (sign -1).  Each end is one ``_invert`` call, exact to BRACKET_TOL.
+    by [0, eps_hi] on either branch.  Each end is one ``_invert`` call,
+    exact to BRACKET_TOL.
     alpha=None means an exact readout: the interval collapses to the point
     m.  Otherwise the interval inverts the Hoeffding band
     f_hat +- kappa*sqrt(1/alpha), which holds with probability at least
@@ -151,41 +149,26 @@ def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
             f"bracket top must be in (0, {sign_bracket(beta)}] for beta={beta}, "
             f"got {eps_hi}"
         )
-    top_m = eps_hi if sign > 0 else min(eps_hi, NEG_CAP / beta)
-    top = predicted_fraction(sign * top_m, beta)
-    m = _invert(f_hat, beta, top_m, top, sign)
+    top = predicted_fraction(sign * eps_hi, beta)
+    m = _invert(f_hat, beta, eps_hi, top, sign)
     if alpha is None:
         return m, (m, m)
     half = kappa * math.sqrt(1.0 / alpha)
-    lo = _invert(max(0.0, f_hat - half), beta, top_m, top, sign)
-    hi = _invert(min(f_hat + half, top), beta, top_m, top, sign)
+    lo = _invert(max(0.0, f_hat - half), beta, eps_hi, top, sign)
+    hi = _invert(min(f_hat + half, top), beta, eps_hi, top, sign)
     return m, (lo, hi)
 
 
-def _fit_negative(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
-                  eps_hi: float) -> Optional[Tuple[float, Tuple[float, float]]]:
-    """``_fit`` on the negative branch, or None when that bracket cannot
-    hold f_hat (sampling noise, or a beta override whose NEG_CAP/beta top
-    is narrower than eps_hi): the positive-branch fit then stands."""
-    try:
-        return _fit(f_hat, alpha, kappa, beta, eps_hi, -1)
-    except FractionOutOfRange:
-        return None
-
-
-def _probe_sign(
-    o: ThresholdOracle, plan: RunPlan, resolution: Optional[float] = None
-) -> Optional[int]:
+def _probe_sign(o: ThresholdOracle, plan: RunPlan, resolution: float) -> Optional[int]:
     """Sampled-mode sign decision from the unamplified uniform distribution,
     whose below probability is (1 + eps)/2, so sign(2f - 1) = sign(eps).
 
-    A classical draw sized so its noise gate equals ``resolution`` (default
-    eps0) decides, returning None when the estimate is inside the gate.
-    Used at eps0 when the amplified fraction overflowed the bracket, and at
-    a finer resolution when the fitted magnitude clears its half-width.
+    A classical draw sized so its noise gate equals ``resolution`` decides,
+    returning None when the estimate is inside the gate.  Used at eps0 when
+    the amplified fraction overflowed the bracket, and at a finer resolution
+    when the fitted magnitude clears its half-width.
     """
-    res = plan.eps0 if resolution is None else resolution
-    m_probe = max(1, math.ceil((2.0 * plan.kappa / res) ** 2 - 1e-9))
+    m_probe = max(1, math.ceil((2.0 * plan.kappa / resolution) ** 2 - 1e-9))
     _, est = classical_estimate(o, m_probe, derive_seed(plan.seed, SALT_PROBE))
     gate = 2.0 * plan.kappa * math.sqrt(1.0 / m_probe)
     if est > gate:
@@ -215,10 +198,9 @@ def eps_est(
     fits once on the sign's branch.  Sampled mode fits the positive branch,
     takes the sign from the gated classical probe when the magnitude clears
     its half-width (None otherwise), and refits a negative sign on the
-    negative branch.  Both keep the positive fit when the negative bracket
-    cannot hold the fraction (a beta override narrows it below eps0).
-    Verdict "eps_exceeds_eps0" comes with eps_hat = sign * eps0 and
-    interval (eps0, 1).
+    negative branch, keeping the positive fit when sampling noise puts the
+    fraction above f(-eps0).  Verdict "eps_exceeds_eps0" comes with
+    eps_hat = sign * eps0 and interval (eps0, 1).
     """
     if beta is None:
         beta = choose_beta(eps0)
@@ -229,27 +211,29 @@ def eps_est(
     res = run_experiment(o, plan)
     if mode == "exact":
         # the partition counts give the sign and the verdict, so one fit on
-        # the sign's branch suffices; within the bracket the exact fraction
-        # always inverts on the positive one, as f(-m) < f(m) <= f(eps0)
+        # the sign's branch suffices: with |eps| <= eps0 on a monotone
+        # branch, the exact fraction lies inside its bracket
         overflow = abs(o.eps) > eps0
         sgn = (1 if o.eps > 0.0 else -1) if o.eps else None
         if not overflow:
-            fit = _fit_negative(res.f_hat, None, kappa, beta, eps0) if sgn == -1 else None
-            m, ci = fit or _fit(res.f_hat, None, kappa, beta, eps0, 1)
+            m, ci = _fit(res.f_hat, None, kappa, beta, eps0, sgn or 1)
     else:
         overflow = False
         try:
             m, ci = _fit(res.f_hat, alpha, kappa, beta, eps0, 1)
         except FractionOutOfRange:
-            overflow, sgn = True, _probe_sign(o, plan)
+            overflow, sgn = True, _probe_sign(o, plan, eps0)
         else:
             sgn = None
             if m > 0.5 * (ci[1] - ci[0]) + _SLACK:
                 # magnitude resolved past its noise: the gated classical
                 # probe picks the sign
-                sgn = _probe_sign(o, plan, resolution=ACCEPT_FACTOR * eps0)
+                sgn = _probe_sign(o, plan, ACCEPT_FACTOR * eps0)
             if sgn == -1:
-                m, ci = _fit_negative(res.f_hat, alpha, kappa, beta, eps0) or (m, ci)
+                try:
+                    m, ci = _fit(res.f_hat, alpha, kappa, beta, eps0, -1)
+                except FractionOutOfRange:
+                    pass  # noise put f_hat above f(-eps0): the positive fit stands
     if overflow:
         m, ci = eps0, (eps0, 1.0)
     return EstimateRecord(

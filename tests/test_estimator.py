@@ -75,12 +75,12 @@ def test_invert_fraction_validation():
 
 
 def test_monotone_on_bracket():
-    for beta in (1, 3, 10, 60, 200):
-        hi = sign_bracket(beta)
-        grid = np.linspace(0.0, hi, 200)
-        vals = [predicted_fraction(float(e), beta) for e in grid]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
+    # both branches m -> f(sign*m, beta) share the bracket [0, sign_bracket]
+    for beta in range(1, 201):
+        grid = np.linspace(0.0, sign_bracket(beta), 401)
+        for sign in (1, -1):
+            vals = [predicted_fraction(sign * float(e), beta) for e in grid]
+            assert all(b > a for a, b in zip(vals, vals[1:])), (beta, sign)
 
 
 def test_inversion_recovers_both_branches_in_few_evaluations(monkeypatch):
@@ -94,8 +94,8 @@ def test_inversion_recovers_both_branches_in_few_evaluations(monkeypatch):
     monkeypatch.setattr(estimator, "predicted_fraction", counted)
     for beta in (1, 2, 3, 5, 12, 16, 36, 100, 200):
         hi = sign_bracket(beta)
-        for sign, top in ((1, hi), (-1, min(hi, estimator.NEG_CAP / beta))):
-            for eps in np.linspace(0.0, top, 41):
+        for sign in (1, -1):
+            for eps in np.linspace(0.0, hi, 41):
                 f = predicted_fraction(sign * float(eps), beta)
                 evals.clear()
                 m = _fit(f, None, 0.0, beta, hi, sign)[0]
@@ -104,12 +104,11 @@ def test_inversion_recovers_both_branches_in_few_evaluations(monkeypatch):
 
     # a sampled fit inverts three fractions against one bracket top
     for beta, sign in ((1, 1), (4, 1), (4, -1)):
-        top_m = 0.1 if sign > 0 else estimator.NEG_CAP / beta
         evals.clear()
-        m, (lo, hi) = _fit(predicted_fraction(sign * 0.5 * top_m, beta), 400, 3.0,
+        m, (lo, hi) = _fit(predicted_fraction(sign * 0.05, beta), 400, 3.0,
                            beta, 0.1, sign)
         assert lo < m < hi
-        assert evals[sign * top_m, beta] == 1, (beta, sign)
+        assert evals[sign * 0.1, beta] == 1, (beta, sign)
 
 
 # ------------------------------------------------------------- intervals
@@ -339,14 +338,22 @@ def test_estimate_exact_overflow_is_symmetric_just_past_eps0(d1024):
         assert (rec.ci_lo, rec.ci_hi) == (0.1, 1.0)
 
 
-def test_estimate_beta_override_keeps_positive_fit_on_negative_overflow(d1024):
-    # beta=2 narrows the negative bracket to NEG_CAP/2 = 0.05 < eps0, so an
-    # overflow there says nothing about eps0: the positive fit stands
+def test_estimate_beta_override_fits_on_the_negative_branch(d1024):
+    # beta=2 keeps both branches monotone on [0, eps0], so a negative
+    # imbalance inverts on its own branch, exactly
     rec = eps_est(d1024, 475.5, beta=2)  # eps = -0.0703125
     assert (rec.verdict, rec.sign) == ("ok", -1)
-    assert rec.eps_hat == pytest.approx(-0.0703125, abs=2e-3)
-    assert -rec.eps_hat == _fit(rec.f_hat, None, 0.0, 2, 0.1, 1)[0]
+    assert abs(rec.eps_hat + 0.0703125) <= 1e-12
     assert rec.ci_lo == rec.ci_hi == -rec.eps_hat
+
+
+def test_estimate_sampled_negative_sign_keeps_positive_fit_above_bracket(d1024):
+    # noise puts f_hat = 0.0638 above f(-0.1, 1) = 0.0612, so the negative
+    # refit overflows and the positive-branch fit stands
+    rec = eps_est(d1024, 462.5, theta=0.03, mode="sampled", seed=5)
+    assert (rec.verdict, rec.sign) == ("ok", -1)
+    assert rec.f_hat > predicted_fraction(-0.1, 1)
+    assert rec.eps_hat == -_fit(rec.f_hat, rec.alpha, 3.0, 1, 0.1, 1)[0]
 
 
 def test_estimate_all_equal_dataset_exact():

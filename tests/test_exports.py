@@ -1,5 +1,5 @@
-"""The package's public surface: every exported name resolves, once, and
-every module uses what it imports."""
+"""The package's public surface: every exported name resolves, once, every
+module uses what it imports, and every module-level definition is used."""
 
 import ast
 from pathlib import Path
@@ -43,4 +43,34 @@ def test_every_import_is_used():
     modules = sorted(PACKAGE_DIR.glob("*.py"))
     assert len(modules) > 1
     unused = {p.name: _unused_imports(p) for p in modules}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _definitions(tree: ast.Module):
+    """Module-level functions, classes and constants, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    yield t.id
+
+
+def _reads(tree: ast.Module):
+    """Names a module reads or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_definition_is_used():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    read = set(qmedian.__all__)
+    for tree in trees.values():
+        read.update(_reads(tree))
+    unused = {name: sorted(set(_definitions(tree)) - read) for name, tree in trees.items()}
     assert {name: found for name, found in unused.items() if found} == {}

@@ -23,7 +23,6 @@ from qmedian import (
 from qmedian.checks import random_mask, random_state
 from qmedian.dense import (
     MAX_DENSE_BITS,
-    apply_dense,
     dense_d,
     dense_f,
     dense_r,
@@ -100,7 +99,7 @@ def test_walsh_hadamard_matches_dense_matrix():
     for n in range(1, MAX_DENSE_BITS + 1):
         s = random_state(n, 100 + n)
         got = walsh_hadamard(s.copy()).amps
-        want = apply_dense(dense_f(n), s).amps
+        want = dense_f(n) @ s.amps
         assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -154,9 +153,9 @@ def test_diffusion_matches_dense_factorization():
     for n in range(1, MAX_DENSE_BITS + 1):
         s = random_state(n, 200 + n)
         got = diffusion(s.copy()).amps
-        want = apply_dense(dense_f(n) @ dense_t(n) @ dense_f(n), s).amps
+        want = dense_f(n) @ dense_t(n) @ dense_f(n) @ s.amps
         assert np.max(np.abs(got - want)) < 1e-13
-        want2 = apply_dense(dense_d(n), s).amps
+        want2 = dense_d(n) @ s.amps
         assert np.max(np.abs(got - want2)) < 1e-13
 
 
@@ -164,9 +163,9 @@ def test_shift_matches_dense_factorization():
     for n in range(1, MAX_DENSE_BITS + 1):
         s = random_state(n, 300 + n)
         got = shift(s.copy()).amps
-        want = apply_dense(dense_f(n) @ dense_r(n) @ dense_f(n), s).amps
+        want = dense_f(n) @ dense_r(n) @ dense_f(n) @ s.amps
         assert np.max(np.abs(got - want)) < 1e-13
-        want2 = apply_dense(dense_s(n), s).amps
+        want2 = dense_s(n) @ s.amps
         assert np.max(np.abs(got - want2)) < 1e-13
 
 
@@ -189,8 +188,6 @@ def test_transforms_mutate_in_place_and_return_state():
 def test_dense_size_cap():
     with pytest.raises(ParameterError):
         dense_f(MAX_DENSE_BITS + 1)
-    with pytest.raises(ParameterError):
-        apply_dense(dense_f(2), uniform_state(3))
 
 
 @settings(max_examples=25, deadline=None)
