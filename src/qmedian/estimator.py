@@ -8,9 +8,19 @@ magnitude only to leading order, so estimation proceeds in three stages:
    f_hat +- kappa*sqrt(1/alpha);
 2. resolve the sign.  Exact mode reads it off the partition counts before
    any fit.  Sampled mode fits the positive branch first; once the
-   magnitude clears its confidence half-width, a classical probe of the
-   unamplified below probability (1 + eps)/2, gated at a fifth of eps0,
-   decides the sign, and a magnitude inside its noise leaves it undecided;
+   magnitude clears its confidence half-width, two amplified arms decide
+   the sign.  Each arm runs the loop on the register padded with one
+   ancilla bit whose half holds (1 + s*delta)*N/2 below entries (s = +-1),
+   so its imbalance is exactly (eps + s*delta)/2 and its fraction is
+   f((eps + s*delta)/2, beta').  The difference of the two arms' hit rates,
+   less its known value at eps = 0, carries the sign of eps; a Hoeffding
+   test on it returns the sign or, inside its noise, None.  A coarse pair
+   at delta = 1/4 and one pass goes first: it keeps the right sign for
+   every eps and decides |eps| >= 0.05.  Only when it stays undecided does
+   a fine pair at delta ~= eps0 decide, which resolves |eps| down to
+   eps0/5 but keeps the right sign only up to |eps| ~= 3.4*delta.  Their
+   cost grows as 1/eps0 loop passes, where a classical probe would need
+   1/eps0^2 draws.  A magnitude inside its noise leaves the sign undecided;
 3. fit a negative imbalance on the negative branch m -> f(-m, beta), which
    removes the small odd-order asymmetry between f(+eps) and f(-eps).
    Both branches are monotone on the same bracket [0, eps0].  Exact mode
@@ -21,6 +31,10 @@ magnitude only to leading order, so estimation proceeds in three stages:
 An imbalance beyond the prior bound eps0 is a verdict, not an error (the
 adaptive driver accepts the scale): in exact mode when the partition has
 |eps| > eps0, in sampled mode when the fraction overflows the bracket.
+The overflow's sign still comes from a classical probe at resolution eps0:
+an overflowing |eps| can lie between the fine pair's sign range
+(3.4*delta) and the coarse pair's resolution (0.05), where neither pair is
+sure to read it right.
 """
 
 from __future__ import annotations
@@ -29,12 +43,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .baseline import classical_estimate
 from .dataset import Dataset, ThresholdOracle, make_oracle
 from .driver import RunPlan, choose_alpha, choose_beta, run_experiment
 from .errors import FractionOutOfRange, ParameterError
 from .model import predicted_fraction
-from .rng import SALT_PROBE, derive_seed
+from .rng import SALT_ARMS, SALT_PROBE, bulk_uniforms, derive_seed
 
 BRACKET_TOL = 1e-12
 
@@ -51,8 +67,17 @@ _TOP_TOL = 1e-9
 _SLACK = 1e-9
 
 # Smallest imbalance magnitude the adaptive driver accepts, as a fraction of
-# the scale bound; the sign probe must still resolve it.
+# the scale bound; the two-arm sign test is sized to resolve it at the
+# arms' offset delta ~= eps0.
 ACCEPT_FACTOR = 0.2
+
+# Largest loop count for which MONOTONE_CAP is verified.
+_BETA_CAP = 200
+
+# Offset of the coarse two-arm test.  At delta = 1/4 (one pass) the arms'
+# offset-corrected difference has the sign of eps for every eps in [-1, 1];
+# no offset from 0.1 to 0.2, with the passes MONOTONE_CAP allows, does.
+_COARSE_SCALE = 0.25
 
 
 @dataclass(frozen=True)
@@ -159,23 +184,87 @@ def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
     return m, (lo, hi)
 
 
-def _probe_sign(o: ThresholdOracle, plan: RunPlan, resolution: float) -> Optional[int]:
-    """Sampled-mode sign decision from the unamplified uniform distribution,
-    whose below probability is (1 + eps)/2, so sign(2f - 1) = sign(eps).
-
-    A classical draw sized so its noise gate equals ``resolution`` decides,
-    returning None when the estimate is inside the gate.  Used at eps0 when
-    the amplified fraction overflowed the bracket, and at a finer resolution
-    when the fitted magnitude clears its half-width.
-    """
-    m_probe = max(1, math.ceil((2.0 * plan.kappa / resolution) ** 2 - 1e-9))
-    _, est = classical_estimate(o, m_probe, derive_seed(plan.seed, SALT_PROBE))
-    gate = 2.0 * plan.kappa * math.sqrt(1.0 / m_probe)
-    if est > gate:
+def _gated_sign(stat: float, gate: float) -> Optional[int]:
+    """+1 or -1 when stat clears the gate on that side, None inside it."""
+    if stat > gate:
         return 1
-    if est < -gate:
+    if stat < -gate:
         return -1
     return None
+
+
+def _probe_sign(o: ThresholdOracle, plan: RunPlan) -> Optional[int]:
+    """Overflow sign from the unamplified uniform distribution, whose below
+    probability is (1 + eps)/2, so sign(2f - 1) = sign(eps).
+
+    A classical draw sized so its noise gate equals eps0 decides, returning
+    None when the estimate is inside the gate.
+    """
+    m_probe = max(1, math.ceil((2.0 * plan.kappa / plan.eps0) ** 2 - 1e-9))
+    _, est = classical_estimate(o, m_probe, derive_seed(plan.seed, SALT_PROBE))
+    return _gated_sign(est, 2.0 * plan.kappa * math.sqrt(1.0 / m_probe))
+
+
+def _arm_design(size: int, scale: float, kappa: float) -> Tuple[float, int, int, float]:
+    """(delta, beta', alpha_s, g0) of a two-arm sign test on 2^n = size
+    values, with its offset on the grid nearest scale.
+
+    delta = 2j/size with j = max(1, round(scale*size/2)), so the ancilla
+    half's (1 + s*delta)*size/2 below entries are whole.  beta' =
+    max(1, min(200, floor(MONOTONE_CAP/delta))) keeps both arms, at
+    |(eps +- delta)/2| <= delta, on the monotone bracket.  g0 =
+    f(delta/2, beta') - f(-delta/2, beta') is the arms' difference at
+    eps = 0, the odd-order asymmetry of the branches.  alpha_s =
+    ceil((4*kappa/c)^2), where c is the smaller offset-corrected contrast at
+    eps = +-ACCEPT_FACTOR*delta, puts the test's gate at c/2.
+    """
+    delta = 2.0 * max(1, round(scale * size / 2.0)) / size
+    beta = max(1, min(_BETA_CAP, math.floor(MONOTONE_CAP / delta)))
+    offset = (predicted_fraction(delta / 2.0, beta)
+              - predicted_fraction(-delta / 2.0, beta))
+
+    def contrast(eps: float) -> float:
+        return (predicted_fraction((eps + delta) / 2.0, beta)
+                - predicted_fraction((eps - delta) / 2.0, beta) - offset)
+
+    c = min(contrast(ACCEPT_FACTOR * delta), -contrast(-ACCEPT_FACTOR * delta))
+    return delta, beta, math.ceil((4.0 * kappa / c) ** 2 - 1e-9), offset
+
+
+def _arm_test(o: ThresholdOracle, kappa: float, seed: int, scale: float) -> Optional[int]:
+    """One two-arm sign test at the offset nearest scale (``_arm_design``).
+
+    Arm s (+1, -1) is alpha_s Bernoulli draws of f((eps + s*delta)/2, beta'),
+    read off the closed form like ``run_experiment``'s readout, from the
+    sub-stream of seed; neither arm builds a register.  The paired hit
+    difference less g0 lies in [-1, 1] per pair, so by Hoeffding it strays
+    from its mean by more than 2*kappa/sqrt(alpha_s) with probability at most
+    2*exp(-2*kappa^2), the confidence of ``_fit``'s band.  Returns +1 or -1
+    when it clears that gate, None inside it.
+    """
+    delta, beta, alpha, offset = _arm_design(o.size, scale, kappa)
+    u = bulk_uniforms(seed, 2 * alpha)
+    up = np.count_nonzero(u[:alpha] < predicted_fraction((o.eps + delta) / 2.0, beta))
+    down = np.count_nonzero(u[alpha:] < predicted_fraction((o.eps - delta) / 2.0, beta))
+    diff = (up - down) / alpha - offset
+    return _gated_sign(diff, 2.0 * kappa * math.sqrt(1.0 / alpha))
+
+
+def _arm_sign(o: ThresholdOracle, plan: RunPlan) -> Optional[int]:
+    """Sampled-mode sign from two-arm tests, coarse first.
+
+    The fine test, at delta ~= eps0, resolves |eps| down to
+    ACCEPT_FACTOR*delta but keeps the right sign only up to |eps| ~= 3.4*delta;
+    an aliased fraction can put a far larger |eps| inside the bracket.  The
+    coarse test, at delta = 1/4 and one pass, keeps the right sign over all
+    of [-1, 1] and decides every |eps| >= ACCEPT_FACTOR*(1/4) = 0.05, so it
+    settles those; the fine test runs only when it stays undecided.
+    """
+    stream = derive_seed(plan.seed, SALT_ARMS)
+    sign = _arm_test(o, plan.kappa, derive_seed(stream, 0), _COARSE_SCALE)
+    if sign is None:
+        sign = _arm_test(o, plan.kappa, derive_seed(stream, 1), plan.eps0)
+    return sign
 
 
 def eps_est(
@@ -196,17 +285,24 @@ def eps_est(
     [0, eps0] and attaches the confidence interval.  Exact mode takes the
     sign and the verdict from the partition, in that one experiment, and
     fits once on the sign's branch.  Sampled mode fits the positive branch,
-    takes the sign from the gated classical probe when the magnitude clears
-    its half-width (None otherwise), and refits a negative sign on the
-    negative branch, keeping the positive fit when sampling noise puts the
-    fraction above f(-eps0).  Verdict "eps_exceeds_eps0" comes with
-    eps_hat = sign * eps0 and interval (eps0, 1).
+    takes the sign from the two amplified arms (``_arm_sign``) when the
+    magnitude clears its half-width (None otherwise), and refits a negative
+    sign on the negative branch, keeping the positive fit when sampling
+    noise puts the fraction above f(-eps0); it makes no classical draw
+    unless the fraction overflows the bracket, whose sign a classical probe
+    at resolution eps0 decides.  Verdict "eps_exceeds_eps0" comes with
+    eps_hat = sign * eps0 and interval (eps0, 1).  A beta override whose
+    bracket is narrower than eps0 raises ParameterError before any
+    experiment, in either mode.
     """
     if beta is None:
         beta = choose_beta(eps0)
     if alpha is None:
         alpha = choose_alpha(theta)
     plan = RunPlan(eps0, theta, kappa, alpha, beta, mode, seed)
+    if eps0 > sign_bracket(beta):
+        raise ParameterError(
+            f"eps0 must be <= {sign_bracket(beta)} for beta={beta}, got {eps0}")
     o = make_oracle(d, mu)
     res = run_experiment(o, plan)
     if mode == "exact":
@@ -222,13 +318,12 @@ def eps_est(
         try:
             m, ci = _fit(res.f_hat, alpha, kappa, beta, eps0, 1)
         except FractionOutOfRange:
-            overflow, sgn = True, _probe_sign(o, plan, eps0)
+            overflow, sgn = True, _probe_sign(o, plan)
         else:
             sgn = None
             if m > 0.5 * (ci[1] - ci[0]) + _SLACK:
-                # magnitude resolved past its noise: the gated classical
-                # probe picks the sign
-                sgn = _probe_sign(o, plan, ACCEPT_FACTOR * eps0)
+                # magnitude resolved past its noise: the two arms pick the sign
+                sgn = _arm_sign(o, plan)
             if sgn == -1:
                 try:
                     m, ci = _fit(res.f_hat, alpha, kappa, beta, eps0, -1)

@@ -95,6 +95,7 @@ def bulk_uniforms(seed: int, count: int) -> np.ndarray:
 # not vary with the seed at all.
 SALT_VALUES = 0x56414C5545530101   # synthetic dataset values
 SALT_PERM = 0x5045524D5554450B    # synthetic dataset position shuffle
-SALT_PROBE = 0x50524F4245554E03   # uniform-state probe for the sampled sign
+SALT_PROBE = 0x50524F4245554E03   # uniform-state probe for the overflow sign
+SALT_ARMS = 0x41524D5349474E11    # padded-register arm pairs for the sampled sign
 SALT_SAMPLES = 0x53414D504C450A0D  # measurement draws from the final state
 SALT_BASELINE = 0x434C41535349430F  # classical Monte Carlo draws

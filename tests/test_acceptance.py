@@ -192,6 +192,20 @@ def test_a10_median_bisection_rank_error_within_one_percent():
     assert time.monotonic() - start < 120.0
 
 
+def test_a10_sampled_median_bisection_rank_error_within_one_percent():
+    # the same search in sampled mode: its signs come from the amplified arms
+    start = time.monotonic()
+    n = 14
+    size = 1 << n
+    vals = bulk_uniforms(7, size) * 1000.0
+    d = dataset_from_values(vals)
+    vmin, vmax = float(vals.min()), float(vals.max())
+    mu_hat = median_search(d, vmin, vmax, (vmax - vmin) / 2.0 ** 20, 0.01,
+                           mode="sampled", seed=0)
+    assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2
+    assert time.monotonic() - start < 120.0
+
+
 # ------------------------------------------------------------------- A11
 
 def test_a11_every_cli_command_byte_identical_on_rerun(tmp_path):

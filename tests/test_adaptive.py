@@ -9,9 +9,11 @@ from qmedian import (
     ParameterError,
     bisection_steps,
     dataset_from_values,
+    estimator,
     median_search,
     median_search_counted,
     rank_below,
+    synth_dataset,
 )
 from qmedian.adaptive import _eps_est_adaptive_counted
 
@@ -75,6 +77,48 @@ def test_adaptive_validation(d1024):
     for bad in (0.0, -0.1, 0.1, 0.5):
         with pytest.raises(ParameterError):
             _eps_est_adaptive_counted(d1024, 512.0, eps_min=bad)
+
+
+def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
+    # the paper's claim: amplified loop passes grow as 1/|eps|, not as the
+    # 1/eps^2 draws of direct sampling.  Classical draws remain only in the
+    # overflow branch's sign probe, at 1/eps0^2, and set the total's slope:
+    # about 1.5 here, against 1.88 when the in-bracket sign came from a probe
+    cost = {"passes": 0, "classical": 0}
+    run, probe, arms = (estimator.run_experiment, estimator.classical_estimate,
+                        estimator._arm_test)
+
+    def counted_run(o, plan):
+        cost["passes"] += plan.alpha * plan.beta
+        return run(o, plan)
+
+    def counted_probe(o, m, seed):
+        cost["classical"] += m
+        return probe(o, m, seed)
+
+    def counted_arms(o, kappa, seed, scale):
+        _, beta, alpha, _ = estimator._arm_design(o.size, scale, kappa)
+        cost["passes"] += 2 * alpha * beta
+        return arms(o, kappa, seed, scale)
+
+    monkeypatch.setattr(estimator, "run_experiment", counted_run)
+    monkeypatch.setattr(estimator, "classical_estimate", counted_probe)
+    monkeypatch.setattr(estimator, "_arm_test", counted_arms)
+    mags = (0.08, 0.04, 0.02, 0.01, 0.005)
+    passes, total = [], []
+    for mag in mags:
+        cost.update(passes=0, classical=0)
+        for seed in range(10):
+            sign = 1 if seed % 2 == 0 else -1
+            d, _ = synth_dataset(14, sign * mag, 0.5, seed)
+            rec, _ = _eps_est_adaptive_counted(d, 0.5, 0.002, theta=0.1,
+                                               mode="sampled", seed=seed)
+            assert rec.sign in (None, sign), (mag, seed)
+        passes.append(cost["passes"])
+        total.append(cost["passes"] + cost["classical"])
+    x = np.log([1.0 / mag for mag in mags])
+    assert np.polyfit(x, np.log(passes), 1)[0] <= 1.1
+    assert np.polyfit(x, np.log(total), 1)[0] <= 1.6
 
 
 # --------------------------------------------------------------- bisection
@@ -146,6 +190,23 @@ def test_median_search_sampled_undecided_sign_keeps_rank_bound():
     mu_hat, _, _ = median_search_counted(
         d, vmin, vmax, (vmax - vmin) / 2**20, 0.01, mode="sampled", seed=5)
     assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2
+
+
+def test_median_search_sampled_low_outliers_keep_rank_bound():
+    # the first midpoints fall between the outliers and the rest, at
+    # eps ~= -0.998, where the fraction aliases into the bracket and the fine
+    # arms alone would read the sign as +1; the coarse arms read it right
+    size = 2**14
+    for outliers in (8, 16, 32):
+        vals = np.random.default_rng([9, outliers]).random(size) * 1000
+        vals[:outliers] = -1e6 + np.arange(outliers)
+        d = dataset_from_values(vals)
+        vmin, vmax = float(vals.min()), float(vals.max())
+        for seed in range(2):
+            mu_hat = median_search(d, vmin, vmax, (vmax - vmin) / 2**20, 0.01,
+                                   mode="sampled", seed=seed)
+            assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, (
+                outliers, seed)
 
 
 def test_median_search_zero_steps_returns_midpoint():

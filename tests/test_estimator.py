@@ -11,12 +11,18 @@ from qmedian import estimator
 from qmedian import (
     FractionOutOfRange,
     ParameterError,
+    RunPlan,
+    choose_alpha,
+    choose_beta,
     dataset_from_values,
     eps_est,
+    make_oracle,
     predicted_fraction,
     sign_bracket,
+    synth_dataset,
 )
-from qmedian.estimator import _fit
+from qmedian.checks import evolve, grid_oracle
+from qmedian.estimator import _arm_design, _fit
 
 
 @pytest.fixture(scope="module")
@@ -367,7 +373,7 @@ def test_estimate_all_equal_dataset_exact():
 
 
 def test_estimate_sampled_heavy_ties_never_read_positive(d_ties):
-    # eps = -1/128 clears the probe's gate at 0.2 * eps0; the sign may stay
+    # eps = -1/128 is 0.67 times the arms' offset delta = 12/1024; the sign may stay
     # undecided when the magnitude is inside its noise, but is never +1
     for seed in range(10):
         rec = eps_est(d_ties, 0.5, eps0=0.0125, theta=0.01, mode="sampled",
@@ -379,3 +385,74 @@ def test_estimate_sampled_mu_above_every_value(d1024):
     rec = eps_est(d1024, 2000.0, mode="sampled", seed=1)
     assert (rec.verdict, rec.sign, rec.eps_hat) == ("eps_exceeds_eps0", 1, 0.1)
     assert (rec.ci_lo, rec.ci_hi) == (0.1, 1.0)
+
+
+def test_beta_override_with_narrow_bracket_rejected_before_the_experiment(
+        d1024, monkeypatch):
+    # sign_bracket(40) = 0.01125 < eps0: no mu or mode may reach an experiment,
+    # including the exact overflow at mu 50.5 that never fits
+    def refuse(*args, **kwargs):
+        raise AssertionError("experiment built")
+
+    monkeypatch.setattr(estimator, "make_oracle", refuse)
+    for mu in (50.5, 511.5):
+        for mode in ("exact", "sampled"):
+            with pytest.raises(ParameterError):
+                eps_est(d1024, mu, eps0=0.1, beta=40, mode=mode)
+
+
+@pytest.mark.parametrize("n, n_below, scale", [
+    (6, 30, 0.1), (10, 543, 0.1), (10, 479, 0.1), (11, 1030, 0.0125),
+    (10, 100, 0.25),
+])
+def test_sign_arm_is_a_one_ancilla_register_experiment(n, n_below, scale):
+    # each arm is the loop on the (n+1)-bit register whose ancilla half holds
+    # (1 + s*delta)*N/2 more below states; its below fraction after beta'
+    # passes is the closed form the arm draws from
+    size = 1 << n
+    eps = (2 * n_below - size) / size
+    delta, beta, _, _ = _arm_design(size, scale, 3.0)
+    assert delta * beta <= estimator.MONOTONE_CAP
+    for s in (1, -1):
+        padded = grid_oracle(n + 1, n_below + round((1 + s * delta) * size / 2))
+        assert padded.eps == (eps + s * delta) / 2
+        last = list(evolve(padded, beta))[-1]
+        assert abs(last.p - predicted_fraction((eps + s * delta) / 2, beta)) < 1e-10
+
+
+def test_coarse_arms_keep_the_sign_over_the_whole_range():
+    # at offset 1/4 and one pass the arms' offset-corrected difference has the
+    # sign of eps on every grid point of a 2^14 register, and clears the
+    # test's gate c/2 by at least c/2 wherever |eps| >= 0.05
+    size = 1 << 14
+    delta, beta, alpha, offset = _arm_design(size, estimator._COARSE_SCALE, 3.0)
+    assert (delta, beta) == (0.25, 1)
+    half_gate = 3.0 * math.sqrt(1.0 / alpha)  # c/2 == 2*kappa/sqrt(alpha)/2
+    for j in range(size + 1):
+        eps = (2 * j - size) / size
+        diff = (predicted_fraction((eps + delta) / 2, beta)
+                - predicted_fraction((eps - delta) / 2, beta) - offset)
+        assert diff * eps >= 0.0, eps
+        if abs(eps) >= 0.05:
+            assert abs(diff) >= 2 * half_gate - 1e-12, eps
+
+
+def test_sampled_sign_in_bracket_makes_no_classical_draw(monkeypatch):
+    # the two amplified arms decide the sign with no classical draw; only an
+    # overflowing fraction falls back to the classical probe
+    def refuse(*args, **kwargs):
+        raise AssertionError("classical draw")
+
+    monkeypatch.setattr(estimator, "classical_estimate", refuse)
+    for sign in (1, -1):
+        for seed in range(4):
+            d, _ = synth_dataset(14, sign * 0.03, 0.5, seed)
+            plan = RunPlan(0.1, 0.03, 3.0, choose_alpha(0.03), choose_beta(0.1),
+                           "sampled", seed)
+            assert estimator._arm_sign(make_oracle(d, 0.5), plan) == sign, seed
+            # at theta 0.03 the magnitude may stay inside its noise, leaving
+            # the sign undecided; at theta 0.005 it clears and the arms decide
+            rec = eps_est(d, 0.5, eps0=0.1, theta=0.03, mode="sampled", seed=seed)
+            assert (rec.verdict, rec.sign in (None, sign)) == ("ok", True), seed
+            rec = eps_est(d, 0.5, eps0=0.1, theta=0.005, mode="sampled", seed=seed)
+            assert (rec.verdict, rec.sign) == ("ok", sign), seed
