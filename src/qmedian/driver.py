@@ -27,7 +27,12 @@ import numpy as np
 from .dataset import ThresholdOracle
 from .errors import ParameterError
 from .model import predicted_fraction
-from .rng import SALT_SAMPLES, bulk_uniforms, derive_seed
+from .rng import (
+    SALT_SAMPLES,
+    bernoulli_hits,
+    bulk_uniforms,  # noqa: F401  unused here; perfbench/tracing.py's WRAPS resolves it
+    derive_seed,
+)
 from .statevector import (
     StateVector,
     conditional_phase,
@@ -147,15 +152,14 @@ def run_experiment(o: ThresholdOracle, plan: RunPlan) -> ExperimentResult:
 
     Both modes read the below probability exact_p off the closed form and
     build no register.  Exact mode reports it; sampled mode counts draw j
-    below when its uniform u_j < exact_p, over plan.alpha draws, and
-    reports the fraction that landed below.  Deterministic given (oracle,
-    plan).
+    below when its uniform u_j < exact_p, over plan.alpha draws (compared
+    on the raw words by ``rng.bernoulli_hits``), and reports the fraction
+    that landed below.  Deterministic given (oracle, plan).
     """
     exact_p = predicted_fraction(o.eps, plan.beta)
     if plan.mode == "exact":
         return ExperimentResult(exact_p, exact_p, plan.alpha, None)
 
-    uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
-    outcomes = uniforms < exact_p
+    outcomes = bernoulli_hits(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha, exact_p)
     hits = int(np.count_nonzero(outcomes))
     return ExperimentResult(hits / plan.alpha, exact_p, plan.alpha, outcomes)

@@ -8,19 +8,21 @@ magnitude only to leading order, so estimation proceeds in three stages:
    f_hat +- kappa*sqrt(1/alpha);
 2. resolve the sign.  Exact mode reads it off the partition counts before
    any fit.  Sampled mode fits the positive branch first; once the
-   magnitude clears its confidence half-width, two amplified arms decide
-   the sign.  Each arm runs the loop on the register padded with one
-   ancilla bit whose half holds (1 + s*delta)*N/2 below entries (s = +-1),
-   so its imbalance is exactly (eps + s*delta)/2 and its fraction is
-   f((eps + s*delta)/2, beta').  The difference of the two arms' hit rates,
-   less its known value at eps = 0, carries the sign of eps; a Hoeffding
-   test on it returns the sign or, inside its noise, None.  A coarse pair
-   at delta = 1/4 and one pass goes first: it keeps the right sign for
-   every eps and decides |eps| >= 0.05.  Only when it stays undecided does
-   a fine pair at delta ~= eps0 decide, which resolves |eps| down to
-   eps0/5 but keeps the right sign only up to |eps| ~= 3.4*delta.  Their
-   cost grows as 1/eps0 loop passes, where a classical probe would need
-   1/eps0^2 draws.  A magnitude inside its noise leaves the sign undecided;
+   magnitude clears its confidence half-width, or the fraction overflows
+   the bracket, pairs of amplified arms decide the sign.  Each arm runs the
+   loop on the register padded with one ancilla bit whose half holds
+   (1 + s*delta)*N/2 below entries (s = +-1), so its imbalance is exactly
+   (eps + s*delta)/2 and its fraction is f((eps + s*delta)/2, beta').  The
+   difference of the two arms' hit rates, less its known value at eps = 0,
+   carries the sign of eps; a Hoeffding test on it returns the sign or,
+   inside its noise, None.  The pairs form a ladder, walked down until one
+   decides: delta = 1/4, 1/8, ... while above eps0, then eps0.  A pair
+   decides |eps| >= delta/5 and keeps the right sign up to |eps| ~= 3.4*delta
+   (the top one, at one pass, over all of [-1, 1]); a rung runs only after
+   the coarser one stayed undecided, which leaves |eps| below about 0.4 of
+   the coarser delta, inside its own sign range.  The ladder's cost grows as
+   1/eps0 loop passes, where a classical probe would need 1/eps0^2 draws.
+   A magnitude inside its noise leaves the sign undecided;
 3. fit a negative imbalance on the negative branch m -> f(-m, beta), which
    removes the small odd-order asymmetry between f(+eps) and f(-eps).
    Both branches are monotone on the same bracket [0, eps0].  Exact mode
@@ -31,26 +33,26 @@ magnitude only to leading order, so estimation proceeds in three stages:
 An imbalance beyond the prior bound eps0 is a verdict, not an error (the
 adaptive driver accepts the scale): in exact mode when the partition has
 |eps| > eps0, in sampled mode when the fraction overflows the bracket.
-The overflow's sign still comes from a classical probe at resolution eps0:
-an overflowing |eps| can lie between the fine pair's sign range
-(3.4*delta) and the coarse pair's resolution (0.05), where neither pair is
-sure to read it right.
+The overflow's sign comes from the same ladder, so sampled mode makes no
+classical draw at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .baseline import classical_estimate
+from .baseline import (
+    classical_estimate,  # noqa: F401  unused here; perfbench/tracing.py's WRAPS resolves it
+)
 from .dataset import Dataset, ThresholdOracle, make_oracle
 from .driver import RunPlan, choose_alpha, choose_beta, run_experiment
 from .errors import FractionOutOfRange, ParameterError
 from .model import predicted_fraction
-from .rng import SALT_ARMS, SALT_PROBE, bulk_uniforms, derive_seed
+from .rng import SALT_ARMS, bernoulli_hits, derive_seed
 
 BRACKET_TOL = 1e-12
 
@@ -74,7 +76,7 @@ ACCEPT_FACTOR = 0.2
 # Largest loop count for which MONOTONE_CAP is verified.
 _BETA_CAP = 200
 
-# Offset of the coarse two-arm test.  At delta = 1/4 (one pass) the arms'
+# Offset of the sign ladder's top rung.  At delta = 1/4 (one pass) the arms'
 # offset-corrected difference has the sign of eps for every eps in [-1, 1];
 # no offset from 0.1 to 0.2, with the passes MONOTONE_CAP allows, does.
 _COARSE_SCALE = 0.25
@@ -193,18 +195,6 @@ def _gated_sign(stat: float, gate: float) -> Optional[int]:
     return None
 
 
-def _probe_sign(o: ThresholdOracle, plan: RunPlan) -> Optional[int]:
-    """Overflow sign from the unamplified uniform distribution, whose below
-    probability is (1 + eps)/2, so sign(2f - 1) = sign(eps).
-
-    A classical draw sized so its noise gate equals eps0 decides, returning
-    None when the estimate is inside the gate.
-    """
-    m_probe = max(1, math.ceil((2.0 * plan.kappa / plan.eps0) ** 2 - 1e-9))
-    _, est = classical_estimate(o, m_probe, derive_seed(plan.seed, SALT_PROBE))
-    return _gated_sign(est, 2.0 * plan.kappa * math.sqrt(1.0 / m_probe))
-
-
 def _arm_design(size: int, scale: float, kappa: float) -> Tuple[float, int, int, float]:
     """(delta, beta', alpha_s, g0) of a two-arm sign test on 2^n = size
     values, with its offset on the grid nearest scale.
@@ -236,35 +226,54 @@ def _arm_test(o: ThresholdOracle, kappa: float, seed: int, scale: float) -> Opti
 
     Arm s (+1, -1) is alpha_s Bernoulli draws of f((eps + s*delta)/2, beta'),
     read off the closed form like ``run_experiment``'s readout, from the
-    sub-stream of seed; neither arm builds a register.  The paired hit
-    difference less g0 lies in [-1, 1] per pair, so by Hoeffding it strays
-    from its mean by more than 2*kappa/sqrt(alpha_s) with probability at most
-    2*exp(-2*kappa^2), the confidence of ``_fit``'s band.  Returns +1 or -1
-    when it clears that gate, None inside it.
+    sub-streams of seed: indices 0..alpha_s-1 for the up arm and
+    alpha_s..2*alpha_s-1 for the down arm.  Neither arm builds a register.
+    The paired hit difference less g0 lies in [-1, 1] per pair, so by
+    Hoeffding it strays from its mean by more than 2*kappa/sqrt(alpha_s)
+    with probability at most 2*exp(-2*kappa^2), the confidence of
+    ``_fit``'s band.  Returns +1 or -1 when it clears that gate, None inside
+    it.
     """
     delta, beta, alpha, offset = _arm_design(o.size, scale, kappa)
-    u = bulk_uniforms(seed, 2 * alpha)
-    up = np.count_nonzero(u[:alpha] < predicted_fraction((o.eps + delta) / 2.0, beta))
-    down = np.count_nonzero(u[alpha:] < predicted_fraction((o.eps - delta) / 2.0, beta))
+    up = np.count_nonzero(
+        bernoulli_hits(seed, alpha, predicted_fraction((o.eps + delta) / 2.0, beta)))
+    down = np.count_nonzero(
+        bernoulli_hits(seed, alpha, predicted_fraction((o.eps - delta) / 2.0, beta), alpha))
     diff = (up - down) / alpha - offset
     return _gated_sign(diff, 2.0 * kappa * math.sqrt(1.0 / alpha))
 
 
-def _arm_sign(o: ThresholdOracle, plan: RunPlan) -> Optional[int]:
-    """Sampled-mode sign from two-arm tests, coarse first.
+def _ladder(eps0: float) -> Iterator[float]:
+    """Offsets of the sign ladder's rungs: 1/4, 1/8, ... while above eps0,
+    then eps0."""
+    scale = _COARSE_SCALE
+    while scale > eps0:
+        yield scale
+        scale /= 2.0
+    yield eps0
 
-    The fine test, at delta ~= eps0, resolves |eps| down to
-    ACCEPT_FACTOR*delta but keeps the right sign only up to |eps| ~= 3.4*delta;
-    an aliased fraction can put a far larger |eps| inside the bracket.  The
-    coarse test, at delta = 1/4 and one pass, keeps the right sign over all
-    of [-1, 1] and decides every |eps| >= ACCEPT_FACTOR*(1/4) = 0.05, so it
-    settles those; the fine test runs only when it stays undecided.
+
+def _arm_sign(o: ThresholdOracle, plan: RunPlan) -> Optional[int]:
+    """Sampled-mode sign from the first decided rung of a ladder of two-arm
+    tests, coarsest first; None when every rung stays undecided.
+
+    Rung i runs ``_arm_test`` at offset ``_ladder(eps0)``'s i-th scale on the
+    sub-stream derive_seed(derive_seed(seed, SALT_ARMS), i).  A test at
+    offset delta decides |eps| >= ACCEPT_FACTOR*delta but keeps the right
+    sign only up to |eps| ~= 3.4*delta, and an aliased fraction can put a far
+    larger |eps| inside the bracket.  The top rung, at delta = 1/4 and one
+    pass, keeps the right sign over all of [-1, 1]; every later rung runs only
+    after the rung above it, at no more than twice its offset, stayed
+    undecided, which leaves |eps| below about 0.8*delta, inside its sign
+    range.  The last rung, at eps0, resolves |eps| down to
+    ACCEPT_FACTOR*eps0.
     """
     stream = derive_seed(plan.seed, SALT_ARMS)
-    sign = _arm_test(o, plan.kappa, derive_seed(stream, 0), _COARSE_SCALE)
-    if sign is None:
-        sign = _arm_test(o, plan.kappa, derive_seed(stream, 1), plan.eps0)
-    return sign
+    for rung, scale in enumerate(_ladder(plan.eps0)):
+        sign = _arm_test(o, plan.kappa, derive_seed(stream, rung), scale)
+        if sign is not None:
+            return sign
+    return None
 
 
 def eps_est(
@@ -285,15 +294,15 @@ def eps_est(
     [0, eps0] and attaches the confidence interval.  Exact mode takes the
     sign and the verdict from the partition, in that one experiment, and
     fits once on the sign's branch.  Sampled mode fits the positive branch,
-    takes the sign from the two amplified arms (``_arm_sign``) when the
-    magnitude clears its half-width (None otherwise), and refits a negative
-    sign on the negative branch, keeping the positive fit when sampling
-    noise puts the fraction above f(-eps0); it makes no classical draw
-    unless the fraction overflows the bracket, whose sign a classical probe
-    at resolution eps0 decides.  Verdict "eps_exceeds_eps0" comes with
-    eps_hat = sign * eps0 and interval (eps0, 1).  A beta override whose
-    bracket is narrower than eps0 raises ParameterError before any
-    experiment, in either mode.
+    takes the sign from the ladder of amplified arm pairs (``_arm_sign``)
+    when the magnitude clears its half-width (None otherwise), and refits a
+    negative sign on the negative branch, keeping the positive fit when
+    sampling noise puts the fraction above f(-eps0).  A fraction that
+    overflows the bracket takes its sign from the same ladder; sampled mode
+    makes no classical draw.  Verdict "eps_exceeds_eps0" comes with
+    eps_hat = sign * eps0 (the bare eps0 when the sign is undecided) and
+    interval (eps0, 1).  A beta override whose bracket is narrower than eps0
+    raises ParameterError before any experiment, in either mode.
     """
     if beta is None:
         beta = choose_beta(eps0)
@@ -318,11 +327,11 @@ def eps_est(
         try:
             m, ci = _fit(res.f_hat, alpha, kappa, beta, eps0, 1)
         except FractionOutOfRange:
-            overflow, sgn = True, _probe_sign(o, plan)
+            overflow, sgn = True, _arm_sign(o, plan)
         else:
             sgn = None
             if m > 0.5 * (ci[1] - ci[0]) + _SLACK:
-                # magnitude resolved past its noise: the two arms pick the sign
+                # magnitude resolved past its noise: the arm ladder picks the sign
                 sgn = _arm_sign(o, plan)
             if sgn == -1:
                 try:

@@ -16,6 +16,8 @@ keeps per-sample draws order-independent and safely parallelizable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -60,11 +62,11 @@ def derive_seed(seed: int, salt: int) -> int:
     return mix64((seed ^ salt) & _MASK64)
 
 
-def bulk_uniforms(seed: int, count: int) -> np.ndarray:
-    """First uniform of each indexed sub-stream, vectorized.
+def _mixed_words(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Raw first words of the sub-streams start .. start+count-1 of seed.
 
-    Element j equals RandomStream(derive_seed(seed, j)).next_float() exactly;
-    the loop is fused into uint64 array arithmetic (which wraps mod 2^64).
+    Word j equals RandomStream(derive_seed(seed, start + j)).next_u64(); the
+    loop is fused into uint64 array arithmetic (which wraps mod 2^64).
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -81,10 +83,32 @@ def bulk_uniforms(seed: int, count: int) -> np.ndarray:
         z ^= z >> np.uint64(31)
         return z
 
-    states = np.arange(count, dtype=np.uint64)
+    states = np.arange(start, start + count, dtype=np.uint64)
     states ^= np.uint64(seed & _MASK64)
-    z = _mix(_mix(states))
-    return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    return _mix(_mix(states))
+
+
+def bulk_uniforms(seed: int, count: int) -> np.ndarray:
+    """First uniform of each indexed sub-stream, vectorized.
+
+    Element j equals RandomStream(derive_seed(seed, j)).next_float() exactly.
+    """
+    return (_mixed_words(seed, count) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+
+
+def bernoulli_hits(seed: int, count: int, p: float, start: int = 0) -> np.ndarray:
+    """Bernoulli(p) outcomes of the sub-streams start .. start+count-1 of seed.
+
+    Element j is exactly ``bulk_uniforms(seed, start + count)[start + j] < p``,
+    compared on the raw words instead: with u = (z >> 11) * 2^-53 and
+    c = ceil(p * 2^53) (p * 2^53 is exact), u < p iff (z >> 11) < c iff
+    z < c << 11, so no uniform is ever converted to a double.
+    """
+    z = _mixed_words(seed, count, start)
+    if p >= 1.0:  # every u < 1 <= p; c << 11 would not fit in 64 bits
+        return np.ones(count, dtype=bool)
+    c = math.ceil(p * 2.0 ** 53) if p > 0.0 else 0
+    return z < np.uint64(c << 11)
 
 
 # Fixed salts for the package's named sub-streams (arbitrary odd constants).
@@ -95,7 +119,6 @@ def bulk_uniforms(seed: int, count: int) -> np.ndarray:
 # not vary with the seed at all.
 SALT_VALUES = 0x56414C5545530101   # synthetic dataset values
 SALT_PERM = 0x5045524D5554450B    # synthetic dataset position shuffle
-SALT_PROBE = 0x50524F4245554E03   # uniform-state probe for the overflow sign
 SALT_ARMS = 0x41524D5349474E11    # padded-register arm pairs for the sampled sign
 SALT_SAMPLES = 0x53414D504C450A0D  # measurement draws from the final state
 SALT_BASELINE = 0x434C41535349430F  # classical Monte Carlo draws

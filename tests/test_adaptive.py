@@ -81,9 +81,11 @@ def test_adaptive_validation(d1024):
 
 def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
     # the paper's claim: amplified loop passes grow as 1/|eps|, not as the
-    # 1/eps^2 draws of direct sampling.  Classical draws remain only in the
-    # overflow branch's sign probe, at 1/eps0^2, and set the total's slope:
-    # about 1.5 here, against 1.88 when the in-bracket sign came from a probe
+    # 1/eps^2 draws of direct sampling.  Every sampled sign, overflows
+    # included, comes from the arm ladder, so no classical draw is left and
+    # the total (the experiments' and the arms' loop passes) keeps the
+    # amplified slope: about 0.8 here, against 1.5 while an overflow's sign
+    # came from a classical probe of 1/eps0^2 draws
     cost = {"passes": 0, "classical": 0}
     run, probe, arms = (estimator.run_experiment, estimator.classical_estimate,
                         estimator._arm_test)
@@ -107,7 +109,7 @@ def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
     mags = (0.08, 0.04, 0.02, 0.01, 0.005)
     passes, total = [], []
     for mag in mags:
-        cost.update(passes=0, classical=0)
+        cost["passes"] = 0
         for seed in range(10):
             sign = 1 if seed % 2 == 0 else -1
             d, _ = synth_dataset(14, sign * mag, 0.5, seed)
@@ -117,8 +119,9 @@ def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
         passes.append(cost["passes"])
         total.append(cost["passes"] + cost["classical"])
     x = np.log([1.0 / mag for mag in mags])
+    assert cost["classical"] == 0  # over every magnitude
     assert np.polyfit(x, np.log(passes), 1)[0] <= 1.1
-    assert np.polyfit(x, np.log(total), 1)[0] <= 1.6
+    assert np.polyfit(x, np.log(total), 1)[0] <= 1.1
 
 
 # --------------------------------------------------------------- bisection

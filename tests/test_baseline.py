@@ -96,7 +96,9 @@ def test_blocked_draws_match_one_shot_reference(o1024):
 
 
 def test_large_sign_probe_fits_in_two_gib():
-    # this estimate sizes its classical sign probe at 10^8 draws
+    # at eps0 0.003 a classical sign probe at resolution 0.2*eps0 would be
+    # 10^8 draws; the arm ladder signs this estimate instead, and the whole
+    # estimate must still run under a 2 GiB address-space limit
     src = Path(qmedian.__file__).resolve().parent.parent
     code = textwrap.dedent(f"""
         import resource, sys

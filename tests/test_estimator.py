@@ -17,6 +17,7 @@ from qmedian import (
     dataset_from_values,
     eps_est,
     make_oracle,
+    median_search_counted,
     predicted_fraction,
     sign_bracket,
     synth_dataset,
@@ -437,9 +438,33 @@ def test_coarse_arms_keep_the_sign_over_the_whole_range():
             assert abs(diff) >= 2 * half_gate - 1e-12, eps
 
 
+def test_arm_ladder_offsets_halve_down_to_eps0():
+    assert list(estimator._ladder(0.1)) == [0.25, 0.125, 0.1]
+    assert list(estimator._ladder(0.0625)) == [0.25, 0.125, 0.0625]
+    assert list(estimator._ladder(0.0125)) == [
+        0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0125]
+
+
+@pytest.mark.parametrize("eps0", [0.1, 0.0125])
+def test_arm_ladder_sign_is_right_or_undecided(eps0):
+    # |eps| from below 3.4*eps0 (the last rung's sign range) up to 0.05 (the
+    # top rung's resolution), where a single fine pair may misread the sign,
+    # and far past it, where only the top rung reads it right
+    for mag in (0.006, 0.02, 0.0425, 0.045, 0.05, 0.3, 0.98):
+        for sign in (1, -1):
+            for seed in range(3):
+                d, _ = synth_dataset(14, sign * mag, 0.5, seed)
+                plan = RunPlan(eps0, 0.1, 3.0, choose_alpha(0.1), choose_beta(eps0),
+                               "sampled", seed)
+                got = estimator._arm_sign(make_oracle(d, 0.5), plan)
+                assert got in (sign, None), (mag, sign, seed)
+                if mag >= 0.3:
+                    assert got == sign, (mag, sign, seed)
+
+
 def test_sampled_sign_in_bracket_makes_no_classical_draw(monkeypatch):
-    # the two amplified arms decide the sign with no classical draw; only an
-    # overflowing fraction falls back to the classical probe
+    # the arm ladder decides every sampled sign, in the bracket and on
+    # overflow, with no classical draw
     def refuse(*args, **kwargs):
         raise AssertionError("classical draw")
 
@@ -456,3 +481,15 @@ def test_sampled_sign_in_bracket_makes_no_classical_draw(monkeypatch):
             assert (rec.verdict, rec.sign in (None, sign)) == ("ok", True), seed
             rec = eps_est(d, 0.5, eps0=0.1, theta=0.005, mode="sampled", seed=seed)
             assert (rec.verdict, rec.sign) == ("ok", sign), seed
+            # overflowing fractions take their sign from the same ladder
+            for eps0, mag in ((0.1, 0.3), (0.0125, 0.045)):
+                d, _ = synth_dataset(14, sign * mag, 0.5, seed)
+                rec = eps_est(d, 0.5, eps0=eps0, mode="sampled", seed=seed)
+                assert (rec.verdict, rec.sign, rec.eps_hat) == (
+                    "eps_exceeds_eps0", sign, sign * eps0), (eps0, seed)
+    values = np.random.default_rng(4).random(1 << 14) * 1000.0
+    d = dataset_from_values(values)
+    mu_hat, steps, _ = median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.002,
+                                             mode="sampled", seed=1)
+    assert steps == 20
+    assert abs(int(np.count_nonzero(values < mu_hat)) - (1 << 13)) <= 0.01 * (1 << 14) + 2

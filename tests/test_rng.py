@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmedian import RandomStream, bulk_uniforms, derive_seed, mix64
+from qmedian.rng import bernoulli_hits
 
 
 def test_stream_seed0_known_words():
@@ -82,3 +83,38 @@ def test_bulk_equals_stream_for_any_seed(seed):
     got = bulk_uniforms(seed, 5)
     want = [RandomStream(derive_seed(seed, j)).next_float() for j in range(5)]
     assert got.tolist() == want
+
+
+def _edge_probabilities(u):
+    """0, 1, 2^-53 and, for a few drawn uniforms k*2^-53, the value itself
+    and its float neighbours: u < p flips exactly there."""
+    ps = [0.0, 1.0, 2.0 ** -53, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]
+    for k in {0, len(u) // 2, len(u) - 1}:
+        ps += [u[k], np.nextafter(u[k], np.inf), np.nextafter(u[k], -np.inf)]
+    return ps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1),
+       st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=5000),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_bernoulli_hits_equal_uniforms_below_p(seed, count, start, p):
+    u = bulk_uniforms(seed, start + count)[start:]
+    for q in [p, *_edge_probabilities(u)]:
+        got = bernoulli_hits(seed, count, float(q), start)
+        assert got.dtype == np.bool_
+        assert got.tolist() == (u < q).tolist(), q
+
+
+def test_bernoulli_hits_edges():
+    u = bulk_uniforms(11, 1000)
+    assert not bernoulli_hits(11, 1000, 0.0).any()
+    assert bernoulli_hits(11, 1000, 1.0).all()
+    assert bernoulli_hits(11, 0, 0.5).shape == (0,)
+    for k in (1, 2, 3, 1 << 20, (1 << 53) - 1):
+        q = k * 2.0 ** -53
+        for r in (q, np.nextafter(q, np.inf), np.nextafter(q, -np.inf)):
+            assert bernoulli_hits(11, 1000, float(r)).tolist() == (u < r).tolist()
+    with pytest.raises(ValueError):
+        bernoulli_hits(0, -1, 0.5)
