@@ -1,18 +1,14 @@
-"""Drivers for when the imbalance magnitude is unknown in advance.
+"""Median search by bisection on the threshold.
 
-The adaptive estimate starts from the coarsest prior bound (0.1) and keeps
-tightening it until the estimate is comfortably resolved at the current
-scale: an estimate is accepted as soon as its sign is decided and
-|est| > 0.2 * eps0 (or the fraction overflows the bracket, which means the
-scale is already right).  Otherwise the bound halves, down to eps_min.
-
-``median_search`` bisects on the threshold value: the adaptive estimate's
-sign says whether the candidate threshold sits above or below the point of
-balance, exactly like a comparison in ordinary binary search.  Only a
-decided positive sign moves the upper end; an undecided one counts as
-"not more than half below".  The loop runs ceil(log2(span/delta)) steps,
+Each step asks one question at the midpoint mu: do more than half of the
+values lie below it?  ``estimator.more_than_half_below`` answers it, like a
+comparison in ordinary binary search.  Exact mode reads the partition's
+sign, so every step answers and the loop runs ceil(log2(span/delta)) steps,
 narrowing the bracket below the resolution delta, and returns the last
-midpoint probed.
+midpoint probed.  Sampled mode walks the amplified arm ladder down to
+eps_min; when every rung stays undecided, |eps| < ACCEPT_FACTOR*eps_min at
+mu with the test's confidence, so mu is within ACCEPT_FACTOR*eps_min*N/2
+ranks of the median and the search stops there.
 """
 
 from __future__ import annotations
@@ -21,41 +17,13 @@ import math
 from typing import Tuple
 
 from .dataset import Dataset
+from .driver import MODES
 from .errors import ParameterError
-from .estimator import ACCEPT_FACTOR, EstimateRecord, eps_est
+from .estimator import (
+    eps_est,  # noqa: F401  unused here; perfbench/tracing.py's WRAPS and tests/test_tracing.py resolve it
+    more_than_half_below,
+)
 from .rng import derive_seed
-
-_START_EPS0 = 0.1
-
-
-def _eps_est_adaptive_counted(
-    d: Dataset,
-    mu: float,
-    eps_min: float,
-    theta: float = 0.1,
-    kappa: float = 3.0,
-    mode: str = "exact",
-    seed: int = 0,
-) -> Tuple[EstimateRecord, int]:
-    """Adaptive estimate at mu: the record from the accepting scale, or from
-    the finest one when none resolved, and the number of eps_est calls."""
-    if not (0.0 < eps_min < _START_EPS0):
-        raise ParameterError(f"eps_min must be in (0, {_START_EPS0}), got {eps_min}")
-    eps0 = _START_EPS0
-    calls = 0
-    while True:
-        rec = eps_est(
-            d, mu, eps0=eps0, theta=theta, kappa=kappa, mode=mode,
-            seed=derive_seed(seed, calls),
-        )
-        calls += 1
-        if rec.sign is not None and (
-            rec.verdict != "ok" or abs(rec.eps_hat) > ACCEPT_FACTOR * eps0
-        ):
-            return rec, calls
-        if eps0 / 2.0 <= eps_min:
-            return rec, calls
-        eps0 /= 2.0
 
 
 def bisection_steps(span: float, delta: float) -> int:
@@ -73,32 +41,37 @@ def median_search_counted(
     vmax: float,
     delta: float,
     eps_min: float,
-    theta: float = 0.1,
     kappa: float = 3.0,
     mode: str = "exact",
     seed: int = 0,
 ) -> Tuple[float, int, int]:
-    """Returns (mu_hat, bisection steps, total estimation calls)."""
+    """Returns (mu_hat, bisection steps run, comparisons made); the two
+    counts are equal, one comparison per step."""
     if not vmin < vmax:
         raise ParameterError(f"need min < max, got {vmin} >= {vmax}")
     if not delta > 0.0:
         raise ParameterError(f"resolution must be > 0, got {delta}")
-    steps = bisection_steps(vmax - vmin, delta)
+    # below 0.1 the stop rule keeps mu within 0.01*N ranks of the median
+    if not 0.0 < eps_min < 0.1:
+        raise ParameterError(f"eps_min must be in (0, 0.1), got {eps_min}")
+    if not kappa > 0.0:
+        raise ParameterError(f"kappa must be > 0, got {kappa}")
+    if mode not in MODES:
+        raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     lower, upper = float(vmin), float(vmax)
     mu = 0.5 * (lower + upper)
-    calls = 0
-    for step in range(steps):
+    steps = 0
+    for step in range(bisection_steps(vmax - vmin, delta)):
         mu = 0.5 * (lower + upper)
-        rec, c = _eps_est_adaptive_counted(
-            d, mu, eps_min, theta, kappa, mode,
-            derive_seed(seed, step),
-        )
-        calls += c
-        if rec.sign == 1:
-            upper = mu  # more than half the data sits below mu
+        below = more_than_half_below(d, mu, eps_min, kappa, mode, derive_seed(seed, step))
+        steps += 1
+        if below is None:
+            break  # |eps| at mu is inside the last rung's resolution
+        if below:
+            upper = mu
         else:
             lower = mu
-    return mu, steps, calls
+    return mu, steps, steps
 
 
 def median_search(
@@ -107,18 +80,16 @@ def median_search(
     vmax: float,
     delta: float,
     eps_min: float,
-    theta: float = 0.1,
     kappa: float = 3.0,
     mode: str = "exact",
     seed: int = 0,
 ) -> float:
-    """Median estimate: binary search on the threshold driven by the sign
-    of the adaptive imbalance estimate, to resolution delta.
+    """Median estimate: binary search on the threshold, one comparison per
+    step (``median_search_counted``), to resolution delta.
 
-    The count of values below the result deviates from N/2 by about
-    eps_min*N plus whatever lies inside the final delta-wide bracket.
+    The count of values below the result deviates from N/2 by at most
+    ACCEPT_FACTOR*eps_min*N/2 (sampled mode, with the arm test's
+    confidence) plus whatever lies inside the final delta-wide bracket.
     """
-    mu, _, _ = median_search_counted(
-        d, vmin, vmax, delta, eps_min, theta, kappa, mode, seed
-    )
+    mu, _, _ = median_search_counted(d, vmin, vmax, delta, eps_min, kappa, mode, seed)
     return mu

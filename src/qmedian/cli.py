@@ -172,8 +172,7 @@ def build_parser() -> _Parser:
     p.add_argument("--resolution", type=float, default=None,
                    help="bracket width to stop at (default: span/2^20)")
     p.add_argument("--eps-min", type=float, default=0.01, dest="eps_min",
-                   help="finest imbalance scale to resolve (default 0.01)")
-    p.add_argument("--theta", type=float, default=0.1)
+                   help="last rung of the sampled sign ladder (default 0.01)")
     p.add_argument("--kappa", type=float, default=3.0)
     _add_mode(p)
     _add_seed(p)
@@ -232,12 +231,13 @@ def cmd_median(ns) -> int:
         raise ParameterError(f"need min < max, got {vmin} >= {vmax}")
     delta = (vmax - vmin) / 2.0 ** 20 if ns.resolution is None else ns.resolution
     sys.stderr.write(
-        "note: imbalance magnitudes are assumed below 0.1 per estimation call; "
-        "the adaptive bound starts at 0.1 and halves down to eps-min; "
+        "note: each bisection step asks whether more than half of the values "
+        "lie below the midpoint; sampled mode stops at a midpoint whose "
+        "|imbalance| the arm ladder leaves below 0.2*eps-min; "
         "values equal to a threshold count as above it.\n"
     )
     mu_hat, steps, calls = median_search_counted(
-        d, vmin, vmax, delta, ns.eps_min, theta=ns.theta, kappa=ns.kappa,
+        d, vmin, vmax, delta, ns.eps_min, kappa=ns.kappa,
         mode=_MODE_ALIASES[ns.mode], seed=_resolve_seed(ns),
     )
     out = {

@@ -30,11 +30,13 @@ magnitude only to leading order, so estimation proceeds in three stages:
    keeps the positive fit when sampling noise puts the fraction between
    f(-eps0) and f(+eps0).
 
-An imbalance beyond the prior bound eps0 is a verdict, not an error (the
-adaptive driver accepts the scale): in exact mode when the partition has
-|eps| > eps0, in sampled mode when the fraction overflows the bracket.
-The overflow's sign comes from the same ladder, so sampled mode makes no
-classical draw at all.
+An imbalance beyond the prior bound eps0 is a verdict, not an error: in
+exact mode when the partition has |eps| > eps0, in sampled mode when the
+fraction overflows the bracket.  The overflow's sign comes from the same
+ladder, so sampled mode makes no classical draw at all.
+
+The median search needs none of this: ``more_than_half_below`` answers its
+one comparison per step from the partition's sign or the ladder alone.
 """
 
 from __future__ import annotations
@@ -68,9 +70,8 @@ _TOP_TOL = 1e-9
 
 _SLACK = 1e-9
 
-# Smallest imbalance magnitude the adaptive driver accepts, as a fraction of
-# the scale bound; the two-arm sign test is sized to resolve it at the
-# arms' offset delta ~= eps0.
+# Smallest imbalance magnitude, as a fraction of a rung's offset delta, that
+# the two-arm sign test is sized to resolve.
 ACCEPT_FACTOR = 0.2
 
 # Largest loop count for which MONOTONE_CAP is verified.
@@ -253,7 +254,7 @@ def _ladder(eps0: float) -> Iterator[float]:
     yield eps0
 
 
-def _arm_sign(o: ThresholdOracle, plan: RunPlan) -> Optional[int]:
+def _arm_sign(o: ThresholdOracle, kappa: float, seed: int, eps0: float) -> Optional[int]:
     """Sampled-mode sign from the first decided rung of a ladder of two-arm
     tests, coarsest first; None when every rung stays undecided.
 
@@ -268,12 +269,31 @@ def _arm_sign(o: ThresholdOracle, plan: RunPlan) -> Optional[int]:
     range.  The last rung, at eps0, resolves |eps| down to
     ACCEPT_FACTOR*eps0.
     """
-    stream = derive_seed(plan.seed, SALT_ARMS)
-    for rung, scale in enumerate(_ladder(plan.eps0)):
-        sign = _arm_test(o, plan.kappa, derive_seed(stream, rung), scale)
+    stream = derive_seed(seed, SALT_ARMS)
+    for rung, scale in enumerate(_ladder(eps0)):
+        sign = _arm_test(o, kappa, derive_seed(stream, rung), scale)
         if sign is not None:
             return sign
     return None
+
+
+def more_than_half_below(d: Dataset, mu: float, eps_min: float, kappa: float = 3.0,
+                         mode: str = "exact", seed: int = 0) -> Optional[bool]:
+    """The median search's comparison at threshold mu: do more than half of
+    the values lie below it (eps > 0)?
+
+    Exact mode reads the partition's sign, so it always answers; a balanced
+    split (eps == 0) answers False.  Sampled mode walks the arm ladder
+    (``_arm_sign``) down to eps_min and answers None when every rung stays
+    undecided, which means |eps| < ACCEPT_FACTOR*eps_min with the last
+    rung's confidence, 1 - 2*exp(-2*kappa^2).  Either way it builds one
+    oracle and makes no classical draw.
+    """
+    o = make_oracle(d, mu)
+    if mode == "exact":
+        return o.eps > 0.0
+    sign = _arm_sign(o, kappa, seed, eps_min)
+    return None if sign is None else sign == 1
 
 
 def eps_est(
@@ -327,12 +347,12 @@ def eps_est(
         try:
             m, ci = _fit(res.f_hat, alpha, kappa, beta, eps0, 1)
         except FractionOutOfRange:
-            overflow, sgn = True, _arm_sign(o, plan)
+            overflow, sgn = True, _arm_sign(o, kappa, seed, eps0)
         else:
             sgn = None
             if m > 0.5 * (ci[1] - ci[0]) + _SLACK:
                 # magnitude resolved past its noise: the arm ladder picks the sign
-                sgn = _arm_sign(o, plan)
+                sgn = _arm_sign(o, kappa, seed, eps0)
             if sgn == -1:
                 try:
                     m, ci = _fit(res.f_hat, alpha, kappa, beta, eps0, -1)

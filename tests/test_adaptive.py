@@ -1,6 +1,4 @@
-"""Scale-adaptive estimation and the bisection median search."""
-
-import math
+"""The median search's comparison and its bisection."""
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from qmedian import (
     rank_below,
     synth_dataset,
 )
-from qmedian.adaptive import _eps_est_adaptive_counted
 
 
 @pytest.fixture(scope="module")
@@ -23,69 +20,29 @@ def d1024():
     return dataset_from_values(np.arange(1024.0))
 
 
-# --------------------------------------------------------------- scaling
-
-def test_adaptive_accepts_at_first_scale(d1024):
-    # imbalance 34/1024 ~ 0.033 > 0.2*0.1: one call suffices
-    rec, calls = _eps_est_adaptive_counted(d1024, 528.5, eps_min=0.01)
-    assert calls == 1
-    assert rec.eps0 == 0.1
-    assert rec.sign == 1
-    assert abs(rec.eps_hat - 34 / 1024) < 1e-9
-
-
-def test_adaptive_halves_until_resolved(d1024):
-    # imbalance 6/1024 ~ 0.0059 resolves at the third scale (0.025)
-    rec, calls = _eps_est_adaptive_counted(d1024, 514.5, eps_min=0.01)
-    assert calls == 3
-    assert rec.eps0 == 0.025
-    assert abs(rec.eps_hat - 6 / 1024) < 1e-9
-    assert rec.sign == 1
-
-
-def test_adaptive_four_scale_descent(d1024):
-    # imbalance 4/1024: scales 0.1, 0.05, 0.025, 0.0125 then accept
-    rec, calls = _eps_est_adaptive_counted(d1024, 513.5, eps_min=0.001)
-    assert calls == 4
-    assert rec.eps0 == 0.0125
-    assert abs(rec.eps_hat - 4 / 1024) < 1e-9
-    assert rec.sign == 1
-
-
-def test_adaptive_exhausts_on_balanced_data(d1024):
-    rec, calls = _eps_est_adaptive_counted(d1024, 512.0, eps_min=0.01)
-    assert calls == 4  # scales 0.1, 0.05, 0.025, 0.0125; next would pass eps_min
-    assert rec.eps_hat == 0.0
-    assert rec.sign is None
-    assert rec.verdict == "ok"
-
-
-def test_adaptive_out_of_range_breaks_immediately(d1024):
-    rec, calls = _eps_est_adaptive_counted(d1024, 767.5, eps_min=0.01)
-    assert calls == 1
-    assert rec.verdict == "eps_exceeds_eps0"
-    assert rec.eps_hat == 0.1
-
-
-def test_adaptive_call_count_bound(d1024):
-    for mu, eps_min in [(512.0, 0.01), (514.5, 0.001), (512.0, 0.0004)]:
-        _, calls = _eps_est_adaptive_counted(d1024, mu, eps_min=eps_min)
-        assert calls <= math.ceil(math.log2(0.1 / eps_min)) + 1
-
+# --------------------------------------------------------------- comparison
 
 def test_adaptive_validation(d1024):
-    for bad in (0.0, -0.1, 0.1, 0.5):
-        with pytest.raises(ParameterError):
-            _eps_est_adaptive_counted(d1024, 512.0, eps_min=bad)
+    # checked up front, also on a bracket already below the resolution,
+    # where no comparison runs
+    for lo, hi in ((0.0, 1023.0), (10.0, 11.0)):
+        for bad in (0.0, -0.1, 0.1, 0.5):
+            with pytest.raises(ParameterError):
+                median_search_counted(d1024, lo, hi, 2.0, eps_min=bad)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ParameterError):
+                median_search_counted(d1024, lo, hi, 2.0, 0.01, kappa=bad)
+        for bad in ("sample", "classical"):
+            with pytest.raises(ParameterError):
+                median_search_counted(d1024, lo, hi, 2.0, 0.01, mode=bad)
 
 
 def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
     # the paper's claim: amplified loop passes grow as 1/|eps|, not as the
-    # 1/eps^2 draws of direct sampling.  Every sampled sign, overflows
-    # included, comes from the arm ladder, so no classical draw is left and
-    # the total (the experiments' and the arms' loop passes) keeps the
-    # amplified slope: about 0.8 here, against 1.5 while an overflow's sign
-    # came from a classical probe of 1/eps0^2 draws
+    # 1/eps^2 draws of direct sampling.  A sampled comparison walks the arm
+    # ladder down to eps_min and makes no classical draw, so the total (the
+    # experiments' and the arms' loop passes) keeps the amplified slope,
+    # about 0.8 here
     cost = {"passes": 0, "classical": 0}
     run, probe, arms = (estimator.run_experiment, estimator.classical_estimate,
                         estimator._arm_test)
@@ -113,9 +70,9 @@ def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
         for seed in range(10):
             sign = 1 if seed % 2 == 0 else -1
             d, _ = synth_dataset(14, sign * mag, 0.5, seed)
-            rec, _ = _eps_est_adaptive_counted(d, 0.5, 0.002, theta=0.1,
-                                               mode="sampled", seed=seed)
-            assert rec.sign in (None, sign), (mag, seed)
+            below = estimator.more_than_half_below(d, 0.5, 0.002, mode="sampled",
+                                                   seed=seed)
+            assert below in (None, sign == 1), (mag, seed)
         passes.append(cost["passes"])
         total.append(cost["passes"] + cost["classical"])
     x = np.log([1.0 / mag for mag in mags])
@@ -146,7 +103,7 @@ def test_bisection_steps_validation():
 def test_median_search_integer_values():
     d = dataset_from_values(np.arange(32.0))
     mu_hat, steps, calls = median_search_counted(d, 0.0, 31.0, 1.0, 0.01)
-    assert (mu_hat, steps, calls) == (16.46875, 5, 8)
+    assert (mu_hat, steps, calls) == (16.46875, 5, 5)  # one comparison per step
     assert 15.5 <= mu_hat <= 16.5
     assert rank_below(d, mu_hat) in (16, 17)
     assert median_search(d, 0.0, 31.0, 1.0, 0.01) == mu_hat
@@ -162,8 +119,9 @@ def test_median_search_first_probe_balanced_goes_lower():
 
 def test_median_search_constant_dataset_converges_to_value():
     d = dataset_from_values(np.full(64, 7.0))
-    mu_hat = median_search(d, 0.0, 20.0, 0.01, 0.01)
-    assert abs(mu_hat - 7.0) <= 0.01
+    for mode in ("exact", "sampled"):
+        mu_hat = median_search(d, 0.0, 20.0, 0.01, 0.01, mode=mode)
+        assert abs(mu_hat - 7.0) <= 0.01, mode
 
 
 def test_median_search_rank_accuracy_random_data():
@@ -178,9 +136,59 @@ def test_median_search_rank_accuracy_random_data():
 def test_median_search_sampled_mode():
     d = dataset_from_values(np.arange(256.0))
     mu_hat, steps, calls = median_search_counted(
-        d, 0.0, 255.0, 1.0, 0.02, theta=0.05, mode="sampled", seed=5)
-    assert (mu_hat, steps, calls) == (128.49609375, 8, 15)
+        d, 0.0, 255.0, 1.0, 0.02, mode="sampled", seed=5)
+    # the first midpoint splits the values exactly in half: every rung stays
+    # undecided and the search stops there
+    assert (mu_hat, steps, calls) == (127.5, 1, 1)
     assert abs(rank_below(d, mu_hat) - 128) <= 4
+
+
+def _plain_bisection(d, vmin, vmax, delta):
+    """Bisection on the data's own count: more than half below moves the
+    upper end, anything else the lower one."""
+    lower, upper = vmin, vmax
+    mu = 0.5 * (lower + upper)
+    steps = bisection_steps(vmax - vmin, delta)
+    for _ in range(steps):
+        mu = 0.5 * (lower + upper)
+        if 2 * rank_below(d, mu) > d.size:
+            upper = mu
+        else:
+            lower = mu
+    return mu, steps
+
+
+def test_exact_search_is_plain_bisection_on_the_count():
+    sin = np.sort(np.abs(np.sin(np.arange(4096.0)))) * 100
+    ties = np.random.default_rng([5, 16]).integers(0, 16, 1 << 12).astype(float)
+    for vals in (np.arange(32.0), sin, ties, np.full(64, 7.0)):
+        d = dataset_from_values(vals)
+        vmin, vmax = float(vals.min()), float(vals.max())
+        if vmin == vmax:
+            vmin, vmax = 0.0, 20.0
+        delta = (vmax - vmin) / 2**20
+        mu_hat, steps, calls = median_search_counted(d, vmin, vmax, delta, 0.01,
+                                                     mode="exact", seed=3)
+        assert (mu_hat, steps) == _plain_bisection(d, vmin, vmax, delta)
+        assert calls == steps
+
+
+def test_sampled_search_stops_within_the_last_rungs_resolution():
+    # the median-sampled benchmark's datasets: an undecided last rung means
+    # |eps| < ACCEPT_FACTOR*eps_min at the returned midpoint, so it lies
+    # within ACCEPT_FACTOR*eps_min*N/2 ranks of the median (+2 for the
+    # final bracket)
+    size, eps_min = 2**14, 0.01
+    bound = estimator.ACCEPT_FACTOR * eps_min * size / 2 + 2
+    for i in range(12):
+        vals = np.random.default_rng([2, i]).random(size) * 1000.0
+        assert np.unique(vals).size == size
+        d = dataset_from_values(vals)
+        vmin, vmax = float(vals.min()), float(vals.max())
+        mu_hat, steps, calls = median_search_counted(
+            d, vmin, vmax, (vmax - vmin) / 2**20, eps_min, mode="sampled", seed=i)
+        assert steps == calls <= 20, i
+        assert abs(rank_below(d, mu_hat) - size // 2) <= bound, i
 
 
 def test_median_search_sampled_undecided_sign_keeps_rank_bound():

@@ -143,7 +143,7 @@ def test_median_output_and_note(data32, capsys):
     captured = capsys.readouterr()
     rec = json.loads(captured.out)
     jsonschema.validate(rec, _schema("median"))
-    assert "imbalance magnitudes are assumed below 0.1" in captured.err
+    assert "more than half of the values lie below the midpoint" in captured.err
     assert 15.5 <= rec["mu_hat"] <= 16.5
     assert rec["steps"] == 5
     assert rec["rank_below"] in (16, 17)

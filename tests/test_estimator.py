@@ -11,9 +11,6 @@ from qmedian import estimator
 from qmedian import (
     FractionOutOfRange,
     ParameterError,
-    RunPlan,
-    choose_alpha,
-    choose_beta,
     dataset_from_values,
     eps_est,
     make_oracle,
@@ -454,9 +451,7 @@ def test_arm_ladder_sign_is_right_or_undecided(eps0):
         for sign in (1, -1):
             for seed in range(3):
                 d, _ = synth_dataset(14, sign * mag, 0.5, seed)
-                plan = RunPlan(eps0, 0.1, 3.0, choose_alpha(0.1), choose_beta(eps0),
-                               "sampled", seed)
-                got = estimator._arm_sign(make_oracle(d, 0.5), plan)
+                got = estimator._arm_sign(make_oracle(d, 0.5), 3.0, seed, eps0)
                 assert got in (sign, None), (mag, sign, seed)
                 if mag >= 0.3:
                     assert got == sign, (mag, sign, seed)
@@ -472,9 +467,7 @@ def test_sampled_sign_in_bracket_makes_no_classical_draw(monkeypatch):
     for sign in (1, -1):
         for seed in range(4):
             d, _ = synth_dataset(14, sign * 0.03, 0.5, seed)
-            plan = RunPlan(0.1, 0.03, 3.0, choose_alpha(0.03), choose_beta(0.1),
-                           "sampled", seed)
-            assert estimator._arm_sign(make_oracle(d, 0.5), plan) == sign, seed
+            assert estimator._arm_sign(make_oracle(d, 0.5), 3.0, seed, 0.1) == sign, seed
             # at theta 0.03 the magnitude may stay inside its noise, leaving
             # the sign undecided; at theta 0.005 it clears and the arms decide
             rec = eps_est(d, 0.5, eps0=0.1, theta=0.03, mode="sampled", seed=seed)
@@ -491,5 +484,5 @@ def test_sampled_sign_in_bracket_makes_no_classical_draw(monkeypatch):
     d = dataset_from_values(values)
     mu_hat, steps, _ = median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.002,
                                              mode="sampled", seed=1)
-    assert steps == 20
+    assert steps == 13  # 12 midpoints decided; the search stopped at the 13th
     assert abs(int(np.count_nonzero(values < mu_hat)) - (1 << 13)) <= 0.01 * (1 << 14) + 2
