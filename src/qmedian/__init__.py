@@ -40,7 +40,6 @@ from .errors import (
     DataError,
     DatasetParseError,
     DatasetSizeError,
-    FractionOutOfRange,
     NumericalError,
     ParameterError,
     QmedianError,
@@ -78,7 +77,7 @@ __all__ = [
     "__version__",
     # errors
     "QmedianError", "ParameterError", "DataError", "DatasetParseError",
-    "DatasetSizeError", "NumericalError", "FractionOutOfRange",
+    "DatasetSizeError", "NumericalError",
     # rng
     "mix64", "RandomStream", "derive_seed", "bulk_uniforms",
     # register

@@ -28,17 +28,3 @@ class DatasetSizeError(DataError):
 class NumericalError(QmedianError):
     """A numerical invariant (norm, tolerance) was violated at runtime."""
 
-
-class FractionOutOfRange(QmedianError):
-    """A measured fraction exceeds what any magnitude inside the inversion
-    bracket can produce; the true imbalance likely exceeds the prior bound.
-
-    Callers treat this as a verdict to escalate, not as a failure.
-    """
-
-    def __init__(self, f_hat: float, top: float):
-        super().__init__(
-            f"fraction {f_hat!r} exceeds bracket maximum {top!r}"
-        )
-        self.f_hat = f_hat
-        self.top = top

@@ -1,39 +1,37 @@
 """Turning a measured below-threshold fraction into a signed imbalance.
 
 The amplified fraction f = (1/2)(1+eps)|k_beta|^2 depends on the imbalance
-magnitude only to leading order, so estimation proceeds in three stages:
+magnitude only to leading order, so estimation proceeds in two steps:
 
-1. fit the magnitude on a branch m -> f(sign*m, beta) by a bracketed
-   secant (Illinois) iteration, with an interval from the Hoeffding band
-   f_hat +- kappa*sqrt(1/alpha);
-2. resolve the sign.  Exact mode reads it off the partition counts before
-   any fit.  Sampled mode fits the positive branch first; once the
-   magnitude clears its confidence half-width, or the fraction overflows
-   the bracket, pairs of amplified arms decide the sign.  Each arm runs the
-   loop on the register padded with one ancilla bit whose half holds
-   (1 + s*delta)*N/2 below entries (s = +-1), so its imbalance is exactly
-   (eps + s*delta)/2 and its fraction is f((eps + s*delta)/2, beta').  The
-   difference of the two arms' hit rates, less its known value at eps = 0,
-   carries the sign of eps; a Hoeffding test on it returns the sign or,
-   inside its noise, None.  The pairs form a ladder, walked down until one
-   decides: delta = 1/4, 1/8, ... while above eps0, then eps0.  A pair
-   decides |eps| >= delta/5 and keeps the right sign up to |eps| ~= 3.4*delta
-   (the top one, at one pass, over all of [-1, 1]); a rung runs only after
-   the coarser one stayed undecided, which leaves |eps| below about 0.4 of
-   the coarser delta, inside its own sign range.  The ladder's cost grows as
-   1/eps0 loop passes, where a classical probe would need 1/eps0^2 draws.
-   A magnitude inside its noise leaves the sign undecided;
-3. fit a negative imbalance on the negative branch m -> f(-m, beta), which
-   removes the small odd-order asymmetry between f(+eps) and f(-eps).
-   Both branches are monotone on the same bracket [0, eps0].  Exact mode
-   fits only the sign's branch, once.  Sampled mode refits there, and
-   keeps the positive fit when sampling noise puts the fraction between
-   f(-eps0) and f(+eps0).
+1. take the sign and the overflow verdict.  Exact mode reads both off the
+   partition counts.  Sampled mode takes the sign from pairs of amplified
+   arms.  Each arm runs the loop on the register padded with one ancilla
+   bit whose half holds (1 + s*delta)*N/2 below entries (s = +-1), so its
+   imbalance is exactly (eps + s*delta)/2 and its fraction is
+   f((eps + s*delta)/2, beta').  The difference of the two arms' hit rates,
+   less its known value at eps = 0, carries the sign of eps; a Hoeffding
+   test on it returns the sign or, inside its noise, None.  The pairs form
+   a ladder, walked down until one decides: delta = 1/4, 1/8, ... while
+   above eps0, then eps0.  A pair decides |eps| >= delta/5 and keeps the
+   right sign up to |eps| ~= 3.4*delta (the top one, at one pass, over all
+   of [-1, 1]); a rung runs only after the coarser one stayed undecided,
+   which leaves |eps| below about 0.4 of the coarser delta, inside its own
+   sign range.  The ladder's cost grows as 1/eps0 loop passes, where a
+   classical probe would need 1/eps0^2 draws, and sampled mode makes no
+   classical draw at all.  Its verdict is an overflow of the measured
+   fraction past the positive bracket top f(+eps0, beta), whatever the
+   sign;
+2. fit the magnitude once, on the sign's branch m -> f(sign*m, beta) (the
+   positive one when the sign is undecided), by a bracketed secant
+   (Illinois) iteration, with an interval from the Hoeffding band
+   f_hat +- kappa*sqrt(1/alpha).  Fitting on the sign's own branch removes
+   the small odd-order asymmetry between f(+eps) and f(-eps).  Both
+   branches are monotone on the same bracket [0, eps0], and a fraction at
+   or above the branch's top fits to eps0: sampling noise can put a
+   negative imbalance's fraction between f(-eps0) and f(+eps0).
 
-An imbalance beyond the prior bound eps0 is a verdict, not an error: in
-exact mode when the partition has |eps| > eps0, in sampled mode when the
-fraction overflows the bracket.  The overflow's sign comes from the same
-ladder, so sampled mode makes no classical draw at all.
+An imbalance beyond the prior bound eps0 is a verdict, not an error, and
+needs no fit.
 
 The median search needs none of this: ``more_than_half_below`` answers its
 one comparison per step from the partition's sign or the ladder alone.
@@ -52,7 +50,7 @@ from .baseline import (
 )
 from .dataset import Dataset, ThresholdOracle, make_oracle
 from .driver import RunPlan, choose_alpha, choose_beta, run_experiment
-from .errors import FractionOutOfRange, ParameterError
+from .errors import ParameterError
 from .model import predicted_fraction
 from .rng import SALT_ARMS, bernoulli_hits, derive_seed
 
@@ -67,8 +65,6 @@ MONOTONE_CAP = 0.45
 # Forgives rounding at the very top of a bracket; a genuinely out-of-range
 # fraction overshoots by orders of magnitude more.
 _TOP_TOL = 1e-9
-
-_SLACK = 1e-9
 
 # Smallest imbalance magnitude, as a fraction of a rung's offset delta, that
 # the two-arm sign test is sized to resolve.
@@ -125,11 +121,9 @@ def _invert(f_hat: float, beta: int, top_m: float, top: float, sign: int) -> flo
     bracket is BRACKET_TOL wide.  f is monotone on the bracket and every
     step keeps the root bracketed, so this converges wherever bisection
     does, in about 11 evaluations of f instead of 40; a step that rounds
-    onto a bracket end bisects instead.  f_hat at or just past the top
-    (within _TOP_TOL) maps to top_m, and f_hat <= 0 to 0.
+    onto a bracket end bisects instead.  f_hat at or above the top maps to
+    top_m, and f_hat <= 0 to 0.
     """
-    if f_hat > top + _TOP_TOL:
-        raise FractionOutOfRange(f_hat, top)
     if f_hat >= top:
         return top_m
     if f_hat <= 0.0:
@@ -165,9 +159,9 @@ def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
     alpha=None means an exact readout: the interval collapses to the point
     m.  Otherwise the interval inverts the Hoeffding band
     f_hat +- kappa*sqrt(1/alpha), which holds with probability at least
-    1 - 2*exp(-2*kappa^2); its upper end clamps at the bracket top.
-    Raises FractionOutOfRange when f_hat lies above the bracket (beyond
-    rounding forgiveness)."""
+    1 - 2*exp(-2*kappa^2).  A fraction at or above the bracket top fits to
+    eps_hi, as does the interval's upper end whenever the band reaches the
+    top; telling an overflow from noise is the caller's verdict."""
     if beta < 1:
         raise ParameterError(f"loop count must be >= 1, got {beta}")
     if not f_hat >= 0.0:
@@ -183,7 +177,7 @@ def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
         return m, (m, m)
     half = kappa * math.sqrt(1.0 / alpha)
     lo = _invert(max(0.0, f_hat - half), beta, eps_hi, top, sign)
-    hi = _invert(min(f_hat + half, top), beta, eps_hi, top, sign)
+    hi = _invert(f_hat + half, beta, eps_hi, top, sign)
     return m, (lo, hi)
 
 
@@ -310,19 +304,17 @@ def eps_est(
     """Full signed-imbalance estimate at threshold mu.
 
     Chooses beta = max(1, floor(1/(20*eps0))) and alpha = ceil(1/theta^2)
-    unless overridden, runs the experiment, inverts the fraction on
-    [0, eps0] and attaches the confidence interval.  Exact mode takes the
-    sign and the verdict from the partition, in that one experiment, and
-    fits once on the sign's branch.  Sampled mode fits the positive branch,
-    takes the sign from the ladder of amplified arm pairs (``_arm_sign``)
-    when the magnitude clears its half-width (None otherwise), and refits a
-    negative sign on the negative branch, keeping the positive fit when
-    sampling noise puts the fraction above f(-eps0).  A fraction that
-    overflows the bracket takes its sign from the same ladder; sampled mode
-    makes no classical draw.  Verdict "eps_exceeds_eps0" comes with
-    eps_hat = sign * eps0 (the bare eps0 when the sign is undecided) and
-    interval (eps0, 1).  A beta override whose bracket is narrower than eps0
-    raises ParameterError before any experiment, in either mode.
+    unless overridden and runs the experiment.  It then takes the sign and
+    the verdict first: exact mode from the partition, in that one
+    experiment; sampled mode from the ladder of amplified arm pairs
+    (``_arm_sign``, None when every rung stays undecided) and from the
+    fraction overflowing the positive bracket top f(+eps0, beta).  Sampled
+    mode makes no classical draw.  Inside the bracket it fits once, on the
+    sign's branch (``_fit``), inverting the fraction on [0, eps0] and
+    attaching the confidence interval.  Verdict "eps_exceeds_eps0" comes
+    with eps_hat = sign * eps0 (the bare eps0 when the sign is undecided)
+    and interval (eps0, 1).  A beta override whose bracket is narrower than
+    eps0 raises ParameterError before any experiment, in either mode.
     """
     if beta is None:
         beta = choose_beta(eps0)
@@ -335,31 +327,21 @@ def eps_est(
     o = make_oracle(d, mu)
     res = run_experiment(o, plan)
     if mode == "exact":
-        # the partition counts give the sign and the verdict, so one fit on
-        # the sign's branch suffices: with |eps| <= eps0 on a monotone
-        # branch, the exact fraction lies inside its bracket
+        # with |eps| <= eps0 on a monotone branch, the exact fraction lies
+        # inside its bracket
         overflow = abs(o.eps) > eps0
         sgn = (1 if o.eps > 0.0 else -1) if o.eps else None
-        if not overflow:
-            m, ci = _fit(res.f_hat, None, kappa, beta, eps0, sgn or 1)
     else:
-        overflow = False
-        try:
-            m, ci = _fit(res.f_hat, alpha, kappa, beta, eps0, 1)
-        except FractionOutOfRange:
-            overflow, sgn = True, _arm_sign(o, kappa, seed, eps0)
-        else:
-            sgn = None
-            if m > 0.5 * (ci[1] - ci[0]) + _SLACK:
-                # magnitude resolved past its noise: the arm ladder picks the sign
-                sgn = _arm_sign(o, kappa, seed, eps0)
-            if sgn == -1:
-                try:
-                    m, ci = _fit(res.f_hat, alpha, kappa, beta, eps0, -1)
-                except FractionOutOfRange:
-                    pass  # noise put f_hat above f(-eps0): the positive fit stands
+        # one top for both signs, the positive one: the negative top
+        # f(-eps0) is lower, and would read noise on an in-bracket negative
+        # imbalance as overflow more often
+        overflow = res.f_hat > predicted_fraction(eps0, beta) + _TOP_TOL
+        sgn = _arm_sign(o, kappa, seed, eps0)
     if overflow:
         m, ci = eps0, (eps0, 1.0)
+    else:
+        m, ci = _fit(res.f_hat, None if mode == "exact" else alpha, kappa,
+                     beta, eps0, sgn or 1)
     return EstimateRecord(
         eps_hat=m if sgn is None else sgn * m, sign=sgn, ci_lo=ci[0],
         ci_hi=ci[1], f_hat=res.f_hat, exact_p=res.exact_p, alpha=alpha,

@@ -4,6 +4,7 @@ import importlib.resources
 import json
 import os
 import stat
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -174,7 +175,7 @@ def test_gen_round_trip(tmp_path, capsys):
     assert line.startswith("achieved_eps=")
     achieved = float(line.split("=", 1)[1])
     assert achieved == 0.125
-    d = load_dataset(open(out, encoding="utf-8").read())
+    d = load_dataset(Path(out).read_text(encoding="utf-8"))
     assert d.size == 64
     assert int((d.values < 0.5).sum()) == 36  # (1+eps)*64/2
 
@@ -191,7 +192,7 @@ def test_gen_deterministic(tmp_path, capsys):
     main(["gen", "--n", "5", "--eps", "0", "--out", a_path, "--seed", "1"])
     main(["gen", "--n", "5", "--eps", "0", "--out", b_path, "--seed", "1"])
     capsys.readouterr()
-    assert open(a_path).read() == open(b_path).read()
+    assert Path(a_path).read_text() == Path(b_path).read_text()
 
 
 def test_gen_bad_params(tmp_path):
@@ -227,7 +228,7 @@ def test_sweep_exact_columns(tmp_path):
     csv = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--eps", "0.125", "--beta-max", "20", "--n", "10",
                  "--csv", csv]) == 0
-    lines = open(csv).read().splitlines()
+    lines = Path(csv).read_text().splitlines()
     assert lines[0] == ("r,k_re,k_im,k_abs,approx_2sqrt2,p_below_analytic,"
                         "p_below_exact,abs_err")
     assert len(lines) == 22
@@ -241,7 +242,7 @@ def test_sweep_exact_columns(tmp_path):
 def test_sweep_analytic_only(tmp_path):
     csv = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--eps", "0.3", "--beta-max", "5", "--csv", csv]) == 0
-    lines = open(csv).read().splitlines()
+    lines = Path(csv).read_text().splitlines()
     assert lines[0] == "r,k_re,k_im,k_abs,approx_2sqrt2,p_below_analytic"
     assert len(lines) == 7
 

@@ -9,7 +9,6 @@ import pytest
 
 from qmedian import estimator
 from qmedian import (
-    FractionOutOfRange,
     ParameterError,
     dataset_from_values,
     eps_est,
@@ -59,12 +58,15 @@ def test_invert_fraction_zero_and_top():
     assert _fit(top + 1e-10, None, 0.0, 1, 0.1, 1)[0] == pytest.approx(0.1, abs=1e-11)
 
 
-def test_invert_fraction_out_of_range():
-    top = predicted_fraction(0.1, 1)
-    with pytest.raises(FractionOutOfRange) as exc:
-        _fit(top + 1e-6, None, 0.0, 1, 0.1, 1)
-    assert exc.value.f_hat == top + 1e-6
-    assert exc.value.top == pytest.approx(top, abs=1e-15)
+def test_invert_fraction_clamps_at_and_above_top():
+    # telling an overflow from noise is the caller's verdict: on either
+    # branch any fraction at or above the top fits to the bracket end
+    for sign in (1, -1):
+        top = predicted_fraction(sign * 0.1, 1)
+        for f in (top, top + 1e-6, predicted_fraction(0.1, 1) + 0.01, 1.0):
+            assert _fit(f, None, 0.0, 1, 0.1, sign) == (0.1, (0.1, 0.1))
+            m, (_, hi) = _fit(f, 900, 3.0, 1, 0.1, sign)
+            assert m == hi == 0.1
 
 
 def test_invert_fraction_validation():
@@ -351,13 +353,15 @@ def test_estimate_beta_override_fits_on_the_negative_branch(d1024):
     assert rec.ci_lo == rec.ci_hi == -rec.eps_hat
 
 
-def test_estimate_sampled_negative_sign_keeps_positive_fit_above_bracket(d1024):
-    # noise puts f_hat = 0.0638 above f(-0.1, 1) = 0.0612, so the negative
-    # refit overflows and the positive-branch fit stands
+def test_estimate_sampled_negative_sign_clamps_above_bracket(d1024):
+    # eps = -0.0957; noise puts f_hat = 0.0638 above f(-0.1, 1) = 0.0612, the
+    # negative branch's top, but not above f(+0.1, 1) = 0.0660, the overflow
+    # rule's top: the fit on the negative branch clamps to eps0
     rec = eps_est(d1024, 462.5, theta=0.03, mode="sampled", seed=5)
     assert (rec.verdict, rec.sign) == ("ok", -1)
-    assert rec.f_hat > predicted_fraction(-0.1, 1)
-    assert rec.eps_hat == -_fit(rec.f_hat, rec.alpha, 3.0, 1, 0.1, 1)[0]
+    assert predicted_fraction(-0.1, 1) < rec.f_hat <= predicted_fraction(0.1, 1)
+    assert (rec.eps_hat, rec.ci_hi) == (-0.1, 0.1)
+    assert rec.ci_lo <= 98 / 1024
 
 
 def test_estimate_all_equal_dataset_exact():
@@ -368,11 +372,16 @@ def test_estimate_all_equal_dataset_exact():
         assert (rec.verdict, rec.sign, rec.eps_hat) == (
             "eps_exceeds_eps0", sign, sign * 0.1)
         assert (rec.ci_lo, rec.ci_hi) == (0.1, 1.0)
+    # sampled mode: the arm ladder reads eps = -1, but the aliased fraction
+    # f(-1, beta) = 0 still fits to magnitude 0 (eps_hat is -0.0)
+    for mu in (7.0, 6.0):
+        rec = eps_est(d, mu, mode="sampled")
+        assert (rec.verdict, rec.sign, rec.eps_hat) == ("ok", -1, 0.0)
 
 
 def test_estimate_sampled_heavy_ties_never_read_positive(d_ties):
-    # eps = -1/128 is 0.67 times the arms' offset delta = 12/1024; the sign may stay
-    # undecided when the magnitude is inside its noise, but is never +1
+    # eps = -1/128 is 0.67 times the arms' offset delta = 12/1024; the ladder
+    # may leave the sign undecided inside its noise, but never reads +1
     for seed in range(10):
         rec = eps_est(d_ties, 0.5, eps0=0.0125, theta=0.01, mode="sampled",
                       seed=seed)
@@ -468,12 +477,10 @@ def test_sampled_sign_in_bracket_makes_no_classical_draw(monkeypatch):
         for seed in range(4):
             d, _ = synth_dataset(14, sign * 0.03, 0.5, seed)
             assert estimator._arm_sign(make_oracle(d, 0.5), 3.0, seed, 0.1) == sign, seed
-            # at theta 0.03 the magnitude may stay inside its noise, leaving
-            # the sign undecided; at theta 0.005 it clears and the arms decide
-            rec = eps_est(d, 0.5, eps0=0.1, theta=0.03, mode="sampled", seed=seed)
-            assert (rec.verdict, rec.sign in (None, sign)) == ("ok", True), seed
-            rec = eps_est(d, 0.5, eps0=0.1, theta=0.005, mode="sampled", seed=seed)
-            assert (rec.verdict, rec.sign) == ("ok", sign), seed
+            # the estimate takes that sign whatever its readout's precision
+            for theta in (0.03, 0.005):
+                rec = eps_est(d, 0.5, eps0=0.1, theta=theta, mode="sampled", seed=seed)
+                assert (rec.verdict, rec.sign) == ("ok", sign), (theta, seed)
             # overflowing fractions take their sign from the same ladder
             for eps0, mag in ((0.1, 0.3), (0.0125, 0.045)):
                 d, _ = synth_dataset(14, sign * mag, 0.5, seed)
@@ -486,3 +493,39 @@ def test_sampled_sign_in_bracket_makes_no_classical_draw(monkeypatch):
                                              mode="sampled", seed=1)
     assert steps == 13  # 12 midpoints decided; the search stopped at the 13th
     assert abs(int(np.count_nonzero(values < mu_hat)) - (1 << 13)) <= 0.01 * (1 << 14) + 2
+
+
+def _binom_tail(k, n, p):
+    """P(X >= k) for X ~ Binomial(n, p)."""
+    return sum(math.comb(n, j) * p**j * (1.0 - p)**(n - j) for j in range(k, n + 1))
+
+
+def test_sampled_estimates_are_calibrated():
+    # 25 seeds per cell of eps0 x theta x |eps|/eps0 x sign on 2^14 values.
+    # Each claim holds with probability at least 1 - p, p = 2*exp(-2*kappa^2):
+    # the interval covers |eps|, and the ladder's last rung, at offset eps0,
+    # decides |eps| >= ACCEPT_FACTOR*eps0.  An observed failure count passes
+    # while its Clopper-Pearson lower bound at confidence 0.999 stays at or
+    # below p, i.e. while P(X >= count) >= 0.001 at rate p.  False overflows
+    # are not asserted: 7-9 of 25 per cell at 0.9*eps0, except 1 of 25 at
+    # eps0 0.1, theta 0.03 (ROADMAP, band-aware sampled overflow).
+    p = 2.0 * math.exp(-2.0 * 3.0**2)
+    wrong = misses = ok = undecided = fine = 0
+    for eps0 in (0.1, 0.0125):
+        for ratio in (0.3, 0.9):
+            for sign in (1, -1):
+                for seed in range(25):
+                    d, eps = synth_dataset(14, sign * ratio * eps0, 0.5, seed)
+                    for theta in (0.1, 0.03):
+                        rec = eps_est(d, 0.5, eps0=eps0, theta=theta,
+                                      mode="sampled", seed=seed)
+                        wrong += rec.sign == -sign
+                        if rec.verdict == "ok":
+                            ok += 1
+                            misses += not rec.ci_lo <= abs(eps) <= rec.ci_hi
+                        if ratio == 0.3:
+                            fine += 1
+                            undecided += rec.sign is None
+    assert wrong == 0
+    assert _binom_tail(misses, ok, p) >= 1e-3, misses
+    assert _binom_tail(undecided, fine, p) >= 1e-3, undecided
