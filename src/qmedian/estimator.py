@@ -10,17 +10,21 @@ magnitude only to leading order, so estimation proceeds in two steps:
    imbalance is exactly (eps + s*delta)/2 and its fraction is
    f((eps + s*delta)/2, beta').  The difference of the two arms' hit rates,
    less its known value at eps = 0, carries the sign of eps; a Hoeffding
-   test on it returns the sign or, inside its noise, None.  The pairs form
-   a ladder, walked down until one decides: delta = 1/4, 1/8, ... while
-   above eps0, then eps0.  A pair decides |eps| >= delta/5 and keeps the
-   right sign up to |eps| ~= 3.4*delta (the top one, at one pass, over all
-   of [-1, 1]); a rung runs only after the coarser one stayed undecided,
-   which leaves |eps| below about 0.4 of the coarser delta, inside its own
-   sign range.  The ladder's cost grows as 1/eps0 loop passes, where a
-   classical probe would need 1/eps0^2 draws, and sampled mode makes no
-   classical draw at all.  Its verdict is an overflow of the measured
-   fraction past the positive bracket top f(+eps0, beta), whatever the
-   sign;
+   test on it returns the sign or, inside its noise, None.  The arms share
+   no draw, so the difference is a sum of 2*alpha_s independent draws, each
+   ranging over 1/alpha_s, and Hoeffding on those draws gates it at
+   kappa*sqrt(2/alpha_s) with error probability at most 2*exp(-2*kappa^2);
+   alpha_s is the fewest draws per arm that put the gate at half the
+   contrast at |eps| = delta/5.  The pairs form a ladder, walked down until
+   one decides: delta = 1/4, 1/8, ... while above eps0, then eps0.  A pair
+   decides |eps| >= delta/5 and keeps the right sign up to |eps| ~=
+   3.4*delta (the top one, at one pass, over all of [-1, 1]); a rung runs
+   only after the coarser one stayed undecided, which leaves |eps| below
+   about 0.4 of the coarser delta, inside its own sign range.  The ladder's
+   cost grows as 1/eps0 loop passes, where a classical probe would need
+   1/eps0^2 draws, and sampled mode makes no classical draw at all.  Its
+   verdict is an overflow of the measured fraction past the positive
+   bracket top f(+eps0, beta), whatever the sign;
 2. fit the magnitude once, on the sign's branch m -> f(sign*m, beta) (the
    positive one when the sign is undecided), by a bracketed secant
    (Illinois) iteration, with an interval from the Hoeffding band
@@ -39,6 +43,7 @@ one comparison per step from the partition's sign or the ladder alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
@@ -190,6 +195,7 @@ def _gated_sign(stat: float, gate: float) -> Optional[int]:
     return None
 
 
+@functools.lru_cache(maxsize=256)
 def _arm_design(size: int, scale: float, kappa: float) -> Tuple[float, int, int, float]:
     """(delta, beta', alpha_s, g0) of a two-arm sign test on 2^n = size
     values, with its offset on the grid nearest scale.
@@ -200,8 +206,10 @@ def _arm_design(size: int, scale: float, kappa: float) -> Tuple[float, int, int,
     |(eps +- delta)/2| <= delta, on the monotone bracket.  g0 =
     f(delta/2, beta') - f(-delta/2, beta') is the arms' difference at
     eps = 0, the odd-order asymmetry of the branches.  alpha_s =
-    ceil((4*kappa/c)^2), where c is the smaller offset-corrected contrast at
-    eps = +-ACCEPT_FACTOR*delta, puts the test's gate at c/2.
+    ceil(8*(kappa/c)^2), where c is the smaller offset-corrected contrast at
+    eps = +-ACCEPT_FACTOR*delta, puts the test's gate kappa*sqrt(2/alpha_s)
+    (``_arm_test``) at c/2 or below.  A pure function of its arguments, and
+    asked again for every rung of every comparison, so it is cached.
     """
     delta = 2.0 * max(1, round(scale * size / 2.0)) / size
     beta = max(1, min(_BETA_CAP, math.floor(MONOTONE_CAP / delta)))
@@ -213,7 +221,7 @@ def _arm_design(size: int, scale: float, kappa: float) -> Tuple[float, int, int,
                 - predicted_fraction((eps - delta) / 2.0, beta) - offset)
 
     c = min(contrast(ACCEPT_FACTOR * delta), -contrast(-ACCEPT_FACTOR * delta))
-    return delta, beta, math.ceil((4.0 * kappa / c) ** 2 - 1e-9), offset
+    return delta, beta, math.ceil(8.0 * (kappa / c) ** 2 - 1e-9), offset
 
 
 def _arm_test(o: ThresholdOracle, kappa: float, seed: int, scale: float) -> Optional[int]:
@@ -223,11 +231,13 @@ def _arm_test(o: ThresholdOracle, kappa: float, seed: int, scale: float) -> Opti
     read off the closed form like ``run_experiment``'s readout, from the
     sub-streams of seed: indices 0..alpha_s-1 for the up arm and
     alpha_s..2*alpha_s-1 for the down arm.  Neither arm builds a register.
-    The paired hit difference less g0 lies in [-1, 1] per pair, so by
-    Hoeffding it strays from its mean by more than 2*kappa/sqrt(alpha_s)
+    The statistic (up - down)/alpha_s - g0 is a sum of 2*alpha_s independent
+    draws (the arms share none), each ranging over 1/alpha_s, so by
+    Hoeffding it strays from its mean by more than kappa*sqrt(2/alpha_s)
     with probability at most 2*exp(-2*kappa^2), the confidence of
-    ``_fit``'s band.  Returns +1 or -1 when it clears that gate, None inside
-    it.
+    ``_fit``'s band.  Sizing it on alpha_s paired differences in [-1, 1]
+    would need twice the draws for that gate.  Returns +1 or -1 when it
+    clears the gate, None inside it.
     """
     delta, beta, alpha, offset = _arm_design(o.size, scale, kappa)
     up = np.count_nonzero(
@@ -235,7 +245,7 @@ def _arm_test(o: ThresholdOracle, kappa: float, seed: int, scale: float) -> Opti
     down = np.count_nonzero(
         bernoulli_hits(seed, alpha, predicted_fraction((o.eps - delta) / 2.0, beta), alpha))
     diff = (up - down) / alpha - offset
-    return _gated_sign(diff, 2.0 * kappa * math.sqrt(1.0 / alpha))
+    return _gated_sign(diff, kappa * math.sqrt(2.0 / alpha))
 
 
 def _ladder(eps0: float) -> Iterator[float]:

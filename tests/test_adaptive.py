@@ -81,6 +81,29 @@ def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
     assert np.polyfit(x, np.log(total), 1)[0] <= 1.1
 
 
+def test_sampled_search_arm_draws_halved(monkeypatch):
+    # the arm test sized on its 2*alpha_s independent draws, each ranging
+    # over 1/alpha_s, needs half the draws of one sized on alpha_s pair
+    # differences in [-1, 1]: the latter drew 700,342.33 per search here
+    draws = [0]
+    hits = estimator.bernoulli_hits
+
+    def counted(seed, count, p, start=0):
+        draws[0] += count
+        return hits(seed, count, p, start)
+
+    monkeypatch.setattr(estimator, "bernoulli_hits", counted)
+    size = 2**14
+    for i in range(6):
+        vals = np.random.default_rng([5, i]).random(size) * 1000.0
+        assert np.unique(vals).size == size
+        d = dataset_from_values(vals)
+        mu_hat, _, _ = median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.01,
+                                             mode="sampled", seed=i)
+        assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, i
+    assert draws[0] / 6 <= 0.55 * 700342.33
+
+
 # --------------------------------------------------------------- bisection
 
 def test_bisection_steps_table():

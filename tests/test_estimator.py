@@ -434,7 +434,7 @@ def test_coarse_arms_keep_the_sign_over_the_whole_range():
     size = 1 << 14
     delta, beta, alpha, offset = _arm_design(size, estimator._COARSE_SCALE, 3.0)
     assert (delta, beta) == (0.25, 1)
-    half_gate = 3.0 * math.sqrt(1.0 / alpha)  # c/2 == 2*kappa/sqrt(alpha)/2
+    half_gate = 3.0 * math.sqrt(1.0 / alpha)  # 2*half_gate ~= c/sqrt(2) > c/2
     for j in range(size + 1):
         eps = (2 * j - size) / size
         diff = (predicted_fraction((eps + delta) / 2, beta)
@@ -464,6 +464,59 @@ def test_arm_ladder_sign_is_right_or_undecided(eps0):
                 assert got in (sign, None), (mag, sign, seed)
                 if mag >= 0.3:
                     assert got == sign, (mag, sign, seed)
+
+
+def test_arm_gate_is_at_most_half_the_contrast_with_fewest_draws():
+    # the arm statistic is a sum of 2*alpha_s independent draws, each
+    # ranging over 1/alpha_s, so its Hoeffding gate is kappa*sqrt(2/alpha_s);
+    # alpha_s is the fewest draws that put it at or below c/2, c the smaller
+    # offset-corrected contrast at eps = +-ACCEPT_FACTOR*delta
+    for eps0 in (0.01, 0.0125):
+        for bits in range(10, 23):
+            size = 1 << bits
+            for scale in estimator._ladder(eps0):
+                for kappa in (1.0, 3.0, 5.0):
+                    delta, beta, alpha, offset = _arm_design(size, scale, kappa)
+
+                    def contrast(eps):
+                        return (predicted_fraction((eps + delta) / 2, beta)
+                                - predicted_fraction((eps - delta) / 2, beta) - offset)
+
+                    eps = estimator.ACCEPT_FACTOR * delta
+                    c = min(contrast(eps), -contrast(-eps))
+                    where = (eps0, bits, scale, kappa)
+                    assert kappa * math.sqrt(2.0 / alpha) <= c / 2 + 1e-12, where
+                    assert kappa * math.sqrt(2.0 / (alpha - 1)) > c / 2, where
+
+
+def test_arm_ladder_leaves_a_balanced_split_undecided():
+    # at eps = 0 every rung's statistic has mean 0, so a decided rung is a
+    # gate crossing, each with probability at most 2*exp(-18) ~= 3e-8
+    d, eps = synth_dataset(14, 0.0, 0.5, 0)
+    o = make_oracle(d, 0.5)
+    assert eps == o.eps == 0.0
+    for seed in range(200):
+        assert estimator._arm_sign(o, 3.0, seed, 0.01) is None, seed
+
+
+def test_sampled_results_do_not_depend_on_the_design_cache():
+    # _arm_design is cached; a cold cache, a warm one and a cleared one give
+    # the same sampled search and estimate in one process
+    vals = np.random.default_rng([2, 0]).random(2**14) * 1000.0
+    d = dataset_from_values(vals)
+    sd, _ = synth_dataset(14, -0.03, 0.5, 2)
+
+    def run():
+        return (median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.01,
+                                      mode="sampled", seed=4),
+                eps_est(sd, 0.5, eps0=0.0125, mode="sampled", seed=7))
+
+    _arm_design.cache_clear()
+    cold = run()
+    assert _arm_design.cache_info().currsize > 0
+    warm = run()
+    _arm_design.cache_clear()
+    assert cold == warm == run()
 
 
 def test_sampled_sign_in_bracket_makes_no_classical_draw(monkeypatch):
