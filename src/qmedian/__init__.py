@@ -44,11 +44,7 @@ from .errors import (
     ParameterError,
     QmedianError,
 )
-from .estimator import (
-    EstimateRecord,
-    eps_est,
-    sign_bracket,
-)
+from .estimator import EstimateRecord, eps_est
 from .model import (
     LoopAngles,
     TwoAmpState,
@@ -95,7 +91,7 @@ __all__ = [
     "RunPlan", "ExperimentResult", "prepare", "amplification_loop",
     "run_experiment", "choose_alpha", "choose_beta",
     # estimation
-    "EstimateRecord", "sign_bracket", "eps_est",
+    "EstimateRecord", "eps_est",
     # adaptive drivers
     "median_search", "median_search_counted",
     "bisection_steps",

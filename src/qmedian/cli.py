@@ -13,9 +13,10 @@ Exit codes: 0 success, 1 usage/parameter error, 2 data or I/O error,
 
 Numbers are serialized with 17 significant digits, which round-trips
 doubles exactly, so identical invocations produce byte-identical output.
-The seed can also come from the QMEDIAN_SEED environment variable; an
-explicit --seed wins.  Files are written atomically (fresh temp file,
-fsync, rename).
+The seed comes only from --seed (default 0); the environment plays no part.
+``estimate`` derives its loop count from --eps0 and its repetition count
+from --theta.  Files are written atomically (fresh temp file, fsync,
+rename).
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from .dataset import (
     read_dataset,
     synth_dataset,
 )
+from .driver import MODES
 from .errors import DataError, NumericalError, ParameterError, QmedianError
 from .estimator import EstimateRecord, eps_est
 from .model import k_closed_form, k_small_eps_approx, predicted_fraction
 from .statevector import _check_bits
-
-_MODE_ALIASES = {"exact": "exact", "sampled": "sampled", "sample": "sampled"}
 
 
 # ---------------------------------------------------------------- emission
@@ -111,30 +111,13 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _resolve_seed(ns) -> int:
-    if ns.seed is not None:
-        return ns.seed
-    env = os.environ.get("QMEDIAN_SEED")
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError:
-            raise ParameterError(
-                f"QMEDIAN_SEED is not an integer: {env!r}"
-            ) from None
-    return 0
-
-
 def _add_seed(p) -> None:
-    p.add_argument(
-        "--seed", type=int, default=None,
-        help="master seed (default: $QMEDIAN_SEED, then 0)",
-    )
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
 
 def _add_mode(p) -> None:
     p.add_argument(
-        "--mode", choices=sorted(_MODE_ALIASES), default="exact",
+        "--mode", choices=MODES, default="exact",
         help="exact readout or sampled measurement (default exact)",
     )
 
@@ -157,8 +140,6 @@ def build_parser() -> _Parser:
     p.add_argument("--eps0", type=float, default=0.1, help="prior magnitude bound (default 0.1)")
     p.add_argument("--theta", type=float, default=0.1, help="relative precision target (default 0.1)")
     p.add_argument("--kappa", type=float, default=3.0, help="confidence multiplier (default 3)")
-    p.add_argument("--alpha", type=int, default=None, help="override repetition count")
-    p.add_argument("--beta", type=int, default=None, help="override loop count")
     _add_mode(p)
     _add_seed(p)
     p.set_defaults(func=cmd_estimate)
@@ -206,7 +187,7 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------- commands
 
 def cmd_gen(ns) -> int:
-    d, achieved = synth_dataset(ns.n, ns.eps, ns.mu, _resolve_seed(ns))
+    d, achieved = synth_dataset(ns.n, ns.eps, ns.mu, ns.seed)
     _atomic_write(ns.out, dataset_to_text(d))
     sys.stdout.write(f"achieved_eps={format(achieved, '.17g')}\n")
     return 0
@@ -216,8 +197,7 @@ def cmd_estimate(ns) -> int:
     d = read_dataset(ns.data)
     rec = eps_est(
         d, ns.mu, eps0=ns.eps0, theta=ns.theta, kappa=ns.kappa,
-        mode=_MODE_ALIASES[ns.mode], seed=_resolve_seed(ns),
-        alpha=ns.alpha, beta=ns.beta,
+        mode=ns.mode, seed=ns.seed,
     )
     sys.stdout.write(_json_line(_record_dict(rec)))
     return 0
@@ -227,18 +207,16 @@ def cmd_median(ns) -> int:
     d = read_dataset(ns.data)
     vmin = float(d.values.min()) if ns.vmin is None else ns.vmin
     vmax = float(d.values.max()) if ns.vmax is None else ns.vmax
-    if not vmin < vmax:
-        raise ParameterError(f"need min < max, got {vmin} >= {vmax}")
     delta = (vmax - vmin) / 2.0 ** 20 if ns.resolution is None else ns.resolution
+    mu_hat, steps, calls = median_search_counted(
+        d, vmin, vmax, delta, ns.eps_min, kappa=ns.kappa,
+        mode=ns.mode, seed=ns.seed,
+    )
     sys.stderr.write(
         "note: each bisection step asks whether more than half of the values "
         "lie below the midpoint; sampled mode stops at a midpoint whose "
         "|imbalance| the arm ladder leaves below 0.2*eps-min; "
         "values equal to a threshold count as above it.\n"
-    )
-    mu_hat, steps, calls = median_search_counted(
-        d, vmin, vmax, delta, ns.eps_min, kappa=ns.kappa,
-        mode=_MODE_ALIASES[ns.mode], seed=_resolve_seed(ns),
     )
     out = {
         "mu_hat": mu_hat,
@@ -285,7 +263,7 @@ def cmd_sweep(ns) -> int:
 
 
 def cmd_check(ns) -> int:
-    results = run_checks(ns.n, _resolve_seed(ns))
+    results = run_checks(ns.n, ns.seed)
     failed = False
     for res in results:
         ok = res.max_err <= ns.tol
@@ -300,7 +278,7 @@ def cmd_check(ns) -> int:
 def cmd_baseline(ns) -> int:
     d = read_dataset(ns.data)
     o = make_oracle(d, ns.mu)
-    f_hat, eps_hat = classical_estimate(o, ns.samples, _resolve_seed(ns))
+    f_hat, eps_hat = classical_estimate(o, ns.samples, ns.seed)
     out = {
         "f_hat": f_hat,
         "eps_hat": eps_hat,

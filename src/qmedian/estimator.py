@@ -35,7 +35,9 @@ magnitude only to leading order, so estimation proceeds in two steps:
    negative imbalance's fraction between f(-eps0) and f(+eps0).
 
 An imbalance beyond the prior bound eps0 is a verdict, not an error, and
-needs no fit.
+needs no fit.  The loop count beta follows from eps0 and the repetition
+count alpha from the precision target theta (``driver.choose_beta``,
+``driver.choose_alpha``); neither is an input of its own.
 
 The median search needs none of this: ``more_than_half_below`` answers its
 one comparison per step from the partition's sign or the ladder alone.
@@ -55,7 +57,6 @@ from .baseline import (
 )
 from .dataset import Dataset, ThresholdOracle, make_oracle
 from .driver import RunPlan, choose_alpha, choose_beta, run_experiment
-from .errors import ParameterError
 from .model import predicted_fraction
 from .rng import SALT_ARMS, bernoulli_hits, derive_seed
 
@@ -112,11 +113,6 @@ class EstimateRecord:
     verdict: str = "ok"
 
 
-def sign_bracket(beta: int) -> float:
-    """Widest inversion bracket safe at a given loop count."""
-    return min(1.0, MONOTONE_CAP / beta)
-
-
 def _invert(f_hat: float, beta: int, top_m: float, top: float, sign: int) -> float:
     """Magnitude m in [0, top_m] with predicted_fraction(sign*m, beta) == f_hat,
     given top == predicted_fraction(sign*top_m, beta).
@@ -166,16 +162,8 @@ def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
     f_hat +- kappa*sqrt(1/alpha), which holds with probability at least
     1 - 2*exp(-2*kappa^2).  A fraction at or above the bracket top fits to
     eps_hi, as does the interval's upper end whenever the band reaches the
-    top; telling an overflow from noise is the caller's verdict."""
-    if beta < 1:
-        raise ParameterError(f"loop count must be >= 1, got {beta}")
-    if not f_hat >= 0.0:
-        raise ParameterError(f"fraction must be >= 0, got {f_hat}")
-    if not (0.0 < eps_hi <= sign_bracket(beta)):
-        raise ParameterError(
-            f"bracket top must be in (0, {sign_bracket(beta)}] for beta={beta}, "
-            f"got {eps_hi}"
-        )
+    top; telling an overflow from noise is the caller's verdict.  The
+    caller keeps beta >= 1, f_hat >= 0 and eps_hi <= MONOTONE_CAP/beta."""
     top = predicted_fraction(sign * eps_hi, beta)
     m = _invert(f_hat, beta, eps_hi, top, sign)
     if alpha is None:
@@ -308,14 +296,14 @@ def eps_est(
     kappa: float = 3.0,
     mode: str = "exact",
     seed: int = 0,
-    alpha: Optional[int] = None,
-    beta: Optional[int] = None,
 ) -> EstimateRecord:
     """Full signed-imbalance estimate at threshold mu.
 
-    Chooses beta = max(1, floor(1/(20*eps0))) and alpha = ceil(1/theta^2)
-    unless overridden and runs the experiment.  It then takes the sign and
-    the verdict first: exact mode from the partition, in that one
+    Sets beta = max(1, floor(1/(20*eps0))) (``choose_beta``) from the prior
+    bound and alpha = ceil(1/theta^2) (``choose_alpha``) from the precision
+    target, and runs the experiment.  beta*eps0 <= 0.1 < MONOTONE_CAP, so
+    [0, eps0] is a monotone bracket on both branches.  It then takes the
+    sign and the verdict first: exact mode from the partition, in that one
     experiment; sampled mode from the ladder of amplified arm pairs
     (``_arm_sign``, None when every rung stays undecided) and from the
     fraction overflowing the positive bracket top f(+eps0, beta).  Sampled
@@ -323,17 +311,11 @@ def eps_est(
     sign's branch (``_fit``), inverting the fraction on [0, eps0] and
     attaching the confidence interval.  Verdict "eps_exceeds_eps0" comes
     with eps_hat = sign * eps0 (the bare eps0 when the sign is undecided)
-    and interval (eps0, 1).  A beta override whose bracket is narrower than
-    eps0 raises ParameterError before any experiment, in either mode.
+    and interval (eps0, 1).
     """
-    if beta is None:
-        beta = choose_beta(eps0)
-    if alpha is None:
-        alpha = choose_alpha(theta)
+    beta = choose_beta(eps0)
+    alpha = choose_alpha(theta)
     plan = RunPlan(eps0, theta, kappa, alpha, beta, mode, seed)
-    if eps0 > sign_bracket(beta):
-        raise ParameterError(
-            f"eps0 must be <= {sign_bracket(beta)} for beta={beta}, got {eps0}")
     o = make_oracle(d, mu)
     res = run_experiment(o, plan)
     if mode == "exact":

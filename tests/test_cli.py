@@ -76,53 +76,32 @@ def test_estimate_out_of_range_verdict(data32, capsys):
     assert (rec["ci_lo"], rec["ci_hi"]) == (0.1, 1.0)
 
 
-def test_estimate_seed_env_var(data1024, capsys, monkeypatch):
-    argv = ["estimate", "--data", data1024, "--mu", "543.5", "--mode", "sampled"]
-    monkeypatch.setenv("QMEDIAN_SEED", "3")
-    assert main(argv) == 0
-    via_env = capsys.readouterr().out
-    monkeypatch.delenv("QMEDIAN_SEED")
-    assert main(argv + ["--seed", "3"]) == 0
-    via_flag = capsys.readouterr().out
-    assert via_env == via_flag
-    assert json.loads(via_env)["seed"] == 3
+def test_removed_inputs_are_usage_errors(data1024, capsys):
+    # alpha and beta follow from --theta and --eps0; "sampled" has one spelling
+    base = ["estimate", "--data", data1024, "--mu", "543.5"]
+    for extra in (["--alpha", "7"], ["--beta", "2"], ["--mode", "sample"]):
+        assert main(base + extra) == 1, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: "), extra
 
 
-def test_estimate_explicit_seed_beats_env(data1024, capsys, monkeypatch):
-    monkeypatch.setenv("QMEDIAN_SEED", "99")
-    main(["estimate", "--data", data1024, "--mu", "543.5", "--mode", "sampled",
-          "--seed", "3"])
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["seed"] == 3
-
-
-def test_estimate_bad_env_seed(data32, capsys, monkeypatch):
-    monkeypatch.setenv("QMEDIAN_SEED", "not-a-number")
-    assert main(["estimate", "--data", data32, "--mu", "17"]) == 1
-    assert "QMEDIAN_SEED" in capsys.readouterr().err
-
-
-def test_estimate_hex_env_seed(data1024, capsys, monkeypatch):
-    monkeypatch.setenv("QMEDIAN_SEED", "0x10")
-    main(["estimate", "--data", data1024, "--mu", "543.5", "--mode", "sampled"])
-    assert json.loads(capsys.readouterr().out)["seed"] == 16
-
-
-def test_estimate_mode_alias_sample(data1024, capsys):
-    base = ["estimate", "--data", data1024, "--mu", "543.5", "--seed", "7"]
-    main(base + ["--mode", "sampled"])
-    a = capsys.readouterr().out
-    main(base + ["--mode", "sample"])
-    b = capsys.readouterr().out
-    assert a == b
-    assert json.loads(a)["mode"] == "sampled"
-
-
-def test_estimate_overrides_echoed(data32, capsys):
-    main(["estimate", "--data", data32, "--mu", "17", "--alpha", "7",
-          "--beta", "2"])
-    rec = json.loads(capsys.readouterr().out)
-    assert (rec["alpha"], rec["beta"]) == (7, 2)
+def test_seed_env_var_is_ignored(data1024, capsys, monkeypatch):
+    # the seed comes only from --seed (default 0), never from the environment
+    commands = [
+        ["estimate", "--data", data1024, "--mu", "543.5", "--mode", "sampled"],
+        ["median", "--data", data1024, "--resolution", "0.5", "--mode", "sampled"],
+    ]
+    for argv in commands:
+        monkeypatch.delenv("QMEDIAN_SEED", raising=False)
+        assert main(argv) == 0
+        without = capsys.readouterr()
+        monkeypatch.setenv("QMEDIAN_SEED", "99")
+        assert main(argv) == 0
+        assert capsys.readouterr() == without, argv[0]
+    assert json.loads(without.out)["steps"] >= 1
+    assert main(commands[0]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
 
 
 def test_estimate_missing_file(tmp_path, capsys):
@@ -157,12 +136,20 @@ def test_median_default_bracket_is_data_range(data32, capsys):
 
 
 def test_median_bad_bracket(data32, capsys):
+    # the search reports a bad bracket before the note on how it decides
     assert main(["median", "--data", data32, "--min", "5", "--max", "5"]) == 1
+    assert capsys.readouterr().err == "error: need min < max, got 5.0 >= 5.0\n"
     assert main(["median", "--data", data32, "--min", "9", "--max", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "need min < max" in err
+    assert "note:" not in err
 
 
-def test_median_bad_resolution(data32):
+def test_median_bad_resolution(data32, capsys):
     assert main(["median", "--data", data32, "--resolution", "0"]) == 1
+    assert capsys.readouterr().err == "error: resolution must be > 0, got 0.0\n"
+    assert main(["median", "--data", data32, "--eps-min", "0.1"]) == 1
+    assert capsys.readouterr().err == "error: eps_min must be in (0, 0.1), got 0.1\n"
 
 
 # ---------------------------------------------------------------- gen

@@ -25,7 +25,7 @@ from qmedian import (
     prepare,
     run_experiment,
 )
-from qmedian import driver
+from qmedian import driver, estimator
 from qmedian.checks import evolve, grid_oracle
 from qmedian.rng import SALT_SAMPLES
 from qmedian.statevector import sample, sample_many
@@ -59,6 +59,12 @@ def test_choose_beta_keeps_loop_angle_invertible():
     for eps0 in (0.1, 0.07, 0.03, 0.011, 0.005, 0.0003):
         assert choose_beta(eps0) * eps0 <= 0.1 + 1e-12
         assert choose_beta(eps0) >= 1
+    # eps_est fits on [0, eps0] with no bracket check of its own: every eps0
+    # it accepts must lie inside the monotone bracket of its own loop count,
+    # including where beta steps (eps0 = 0.05, 0.025)
+    grid = np.concatenate([np.geomspace(1e-5, 0.1, 20001), [0.05, 0.025]])
+    for eps0 in map(float, grid):
+        assert eps0 <= estimator.MONOTONE_CAP / choose_beta(eps0), eps0
 
 
 def test_choose_beta_bounds():

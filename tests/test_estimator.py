@@ -9,13 +9,11 @@ import pytest
 
 from qmedian import estimator
 from qmedian import (
-    ParameterError,
     dataset_from_values,
     eps_est,
     make_oracle,
     median_search_counted,
     predicted_fraction,
-    sign_bracket,
     synth_dataset,
 )
 from qmedian.checks import evolve, grid_oracle
@@ -34,16 +32,9 @@ def d1024():
 
 # ------------------------------------------------------------- inversion
 
-def test_sign_bracket_narrows_with_loop_count():
-    assert sign_bracket(1) == 0.45
-    assert sign_bracket(4) == 0.1125
-    assert sign_bracket(450) == 0.001
-    assert sign_bracket(1) <= 1.0
-
-
 def test_invert_fraction_round_trip():
     for beta in (1, 2, 5, 12):
-        hi = sign_bracket(beta)
+        hi = estimator.MONOTONE_CAP / beta
         for eps in np.linspace(1e-4, hi * 0.999, 23):
             f = predicted_fraction(float(eps), beta)
             m = _fit(f, None, 0.0, beta, hi, 1)[0]
@@ -69,21 +60,10 @@ def test_invert_fraction_clamps_at_and_above_top():
             assert m == hi == 0.1
 
 
-def test_invert_fraction_validation():
-    with pytest.raises(ParameterError):
-        _fit(0.01, None, 0.0, 0, 0.1, 1)
-    with pytest.raises(ParameterError):
-        _fit(-0.01, None, 0.0, 1, 0.1, 1)
-    with pytest.raises(ParameterError):
-        _fit(0.01, None, 0.0, 1, 0.5, 1)  # beyond the monotone bracket
-    with pytest.raises(ParameterError):
-        _fit(0.01, None, 0.0, 1, 0.0, 1)
-
-
 def test_monotone_on_bracket():
-    # both branches m -> f(sign*m, beta) share the bracket [0, sign_bracket]
+    # both branches m -> f(sign*m, beta) share the bracket [0, MONOTONE_CAP/beta]
     for beta in range(1, 201):
-        grid = np.linspace(0.0, sign_bracket(beta), 401)
+        grid = np.linspace(0.0, estimator.MONOTONE_CAP / beta, 401)
         for sign in (1, -1):
             vals = [predicted_fraction(sign * float(e), beta) for e in grid]
             assert all(b > a for a, b in zip(vals, vals[1:])), (beta, sign)
@@ -99,7 +79,7 @@ def test_inversion_recovers_both_branches_in_few_evaluations(monkeypatch):
 
     monkeypatch.setattr(estimator, "predicted_fraction", counted)
     for beta in (1, 2, 3, 5, 12, 16, 36, 100, 200):
-        hi = sign_bracket(beta)
+        hi = estimator.MONOTONE_CAP / beta
         for sign in (1, -1):
             for eps in np.linspace(0.0, hi, 41):
                 f = predicted_fraction(sign * float(eps), beta)
@@ -246,12 +226,6 @@ def test_estimate_deterministic(d1024):
     assert a == b
 
 
-def test_estimate_respects_overrides(d1024):
-    rec = eps_est(d1024, 543.5, alpha=7, beta=2, mode="sampled", seed=1)
-    assert rec.alpha == 7
-    assert rec.beta == 2
-
-
 def test_estimate_tight_scale_shrinks_interval(d1024):
     # same data, tighter prior bound: more loop passes, narrower bracket
     wide = eps_est(d1024, 514.5, eps0=0.1, theta=0.01, mode="sampled", seed=2)
@@ -345,11 +319,12 @@ def test_estimate_exact_overflow_is_symmetric_just_past_eps0(d1024):
 
 
 def test_estimate_beta_override_fits_on_the_negative_branch(d1024):
-    # beta=2 keeps both branches monotone on [0, eps0], so a negative
-    # imbalance inverts on its own branch, exactly
-    rec = eps_est(d1024, 475.5, beta=2)  # eps = -0.0703125
+    # eps0 = 0.025 sets beta = 2, which keeps both branches monotone on
+    # [0, eps0], so a negative imbalance inverts on its own branch, exactly
+    rec = eps_est(d1024, 502.5, eps0=0.025)  # eps = -18/1024
+    assert rec.beta == 2
     assert (rec.verdict, rec.sign) == ("ok", -1)
-    assert abs(rec.eps_hat + 0.0703125) <= 1e-12
+    assert abs(rec.eps_hat + 18 / 1024) <= 1e-12
     assert rec.ci_lo == rec.ci_hi == -rec.eps_hat
 
 
@@ -392,20 +367,6 @@ def test_estimate_sampled_mu_above_every_value(d1024):
     rec = eps_est(d1024, 2000.0, mode="sampled", seed=1)
     assert (rec.verdict, rec.sign, rec.eps_hat) == ("eps_exceeds_eps0", 1, 0.1)
     assert (rec.ci_lo, rec.ci_hi) == (0.1, 1.0)
-
-
-def test_beta_override_with_narrow_bracket_rejected_before_the_experiment(
-        d1024, monkeypatch):
-    # sign_bracket(40) = 0.01125 < eps0: no mu or mode may reach an experiment,
-    # including the exact overflow at mu 50.5 that never fits
-    def refuse(*args, **kwargs):
-        raise AssertionError("experiment built")
-
-    monkeypatch.setattr(estimator, "make_oracle", refuse)
-    for mu in (50.5, 511.5):
-        for mode in ("exact", "sampled"):
-            with pytest.raises(ParameterError):
-                eps_est(d1024, mu, eps0=0.1, beta=40, mode=mode)
 
 
 @pytest.mark.parametrize("n, n_below, scale", [
