@@ -9,6 +9,20 @@ midpoint probed.  Sampled mode walks the amplified arm ladder down to
 eps_min; when every rung stays undecided, |eps| < ACCEPT_FACTOR*eps_min at
 mu with the test's confidence, so mu is within ACCEPT_FACTOR*eps_min*N/2
 ranks of the median and the search stops there.
+
+A sampled step starts the ladder at the finest rung the bracket allows,
+not at the top.  The rung that decided at a bracket end, i > 0, bounds that
+end's |eps| below ACCEPT_FACTOR times rung i-1's offset: rung i-1 stayed
+undecided there, or the bracket bounded it already.  eps(mu) does not
+decrease as mu grows, so the midpoint's eps lies between its ends' and
+obeys the looser of their two bounds; that is the bound a walk from the top
+reaches before it runs the smaller of the two ends' rungs, so the step
+starts there.  vmin and vmax carry rung 0.  An end that moves inward keeps
+the larger of its old rung and the one that moved it: the new end's eps has
+the decided sign and lies between 0 and the old end's.  Each bound holds
+with the test's confidence, 1 - 2*exp(-2*kappa^2), the argument by which a
+finer rung trusts its sign within one walk, and every rung that runs draws
+from its own sub-stream exactly as in a walk from the top.
 """
 
 from __future__ import annotations
@@ -59,18 +73,20 @@ def median_search_counted(
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     lower, upper = float(vmin), float(vmax)
+    rung_lower = rung_upper = 0  # first ladder rung each end allows
     mu = 0.5 * (lower + upper)
     steps = 0
     for step in range(bisection_steps(vmax - vmin, delta)):
         mu = 0.5 * (lower + upper)
-        below = more_than_half_below(d, mu, eps_min, kappa, mode, derive_seed(seed, step))
+        below, rung = more_than_half_below(d, mu, eps_min, kappa, mode, derive_seed(seed, step),
+                                           min(rung_lower, rung_upper))
         steps += 1
         if below is None:
             break  # |eps| at mu is inside the last rung's resolution
         if below:
-            upper = mu
+            upper, rung_upper = mu, max(rung_upper, rung)
         else:
-            lower = mu
+            lower, rung_lower = mu, max(rung_lower, rung)
     return mu, steps, steps
 
 

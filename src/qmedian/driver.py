@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -86,17 +85,15 @@ class RunPlan:
 class ExperimentResult:
     """Outcome of one experiment.
 
-    f_hat is the measured below-threshold fraction (equals exact_p in exact
-    mode); exact_p is always the exact below probability, (n_below/N)|k|^2
-    after beta passes, read off the model's closed form;
-    outcomes holds the per-sample below/above booleans in sampled mode,
-    alpha independent Bernoulli(exact_p) draws.
+    f_hat is the measured below-threshold fraction: exact_p in exact mode,
+    the share of alpha independent Bernoulli(exact_p) draws that landed
+    below in sampled mode; exact_p is always the exact below probability,
+    (n_below/N)|k|^2 after beta passes, read off the model's closed form.
     """
 
     f_hat: float
     exact_p: float
     alpha: int
-    outcomes: Optional[np.ndarray] = None
 
 
 def choose_beta(eps0: float) -> int:
@@ -158,8 +155,8 @@ def run_experiment(o: ThresholdOracle, plan: RunPlan) -> ExperimentResult:
     """
     exact_p = predicted_fraction(o.eps, plan.beta)
     if plan.mode == "exact":
-        return ExperimentResult(exact_p, exact_p, plan.alpha, None)
+        return ExperimentResult(exact_p, exact_p, plan.alpha)
 
-    outcomes = bernoulli_hits(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha, exact_p)
-    hits = int(np.count_nonzero(outcomes))
-    return ExperimentResult(hits / plan.alpha, exact_p, plan.alpha, outcomes)
+    hits = int(np.count_nonzero(
+        bernoulli_hits(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha, exact_p)))
+    return ExperimentResult(hits / plan.alpha, exact_p, plan.alpha)

@@ -40,7 +40,8 @@ count alpha from the precision target theta (``driver.choose_beta``,
 ``driver.choose_alpha``); neither is an input of its own.
 
 The median search needs none of this: ``more_than_half_below`` answers its
-one comparison per step from the partition's sign or the ladder alone.
+one comparison per step from the partition's sign or the ladder alone,
+walked from the rung the search's bracket allows (``adaptive``).
 """
 
 from __future__ import annotations
@@ -246,46 +247,58 @@ def _ladder(eps0: float) -> Iterator[float]:
     yield eps0
 
 
-def _arm_sign(o: ThresholdOracle, kappa: float, seed: int, eps0: float) -> Optional[int]:
+def _arm_sign(o: ThresholdOracle, kappa: float, seed: int, eps0: float,
+              start: int = 0) -> Tuple[Optional[int], int]:
     """Sampled-mode sign from the first decided rung of a ladder of two-arm
-    tests, coarsest first; None when every rung stays undecided.
+    tests, coarsest first from rung ``start``, with the index of the rung
+    that decided it; (None, the ladder's length) when every rung stays
+    undecided.
 
     Rung i runs ``_arm_test`` at offset ``_ladder(eps0)``'s i-th scale on the
-    sub-stream derive_seed(derive_seed(seed, SALT_ARMS), i).  A test at
-    offset delta decides |eps| >= ACCEPT_FACTOR*delta but keeps the right
-    sign only up to |eps| ~= 3.4*delta, and an aliased fraction can put a far
-    larger |eps| inside the bracket.  The top rung, at delta = 1/4 and one
-    pass, keeps the right sign over all of [-1, 1]; every later rung runs only
-    after the rung above it, at no more than twice its offset, stayed
-    undecided, which leaves |eps| below about 0.8*delta, inside its sign
-    range.  The last rung, at eps0, resolves |eps| down to
-    ACCEPT_FACTOR*eps0.
+    sub-stream derive_seed(derive_seed(seed, SALT_ARMS), i), whatever rung
+    the walk starts at.  A test at offset delta decides
+    |eps| >= ACCEPT_FACTOR*delta but keeps the right sign only up to
+    |eps| ~= 3.4*delta, and an aliased fraction can put a far larger |eps|
+    inside the bracket.  The top rung, at delta = 1/4 and one pass, keeps the
+    right sign over all of [-1, 1]; every later rung runs only after the rung
+    above it, at no more than twice its offset, stayed undecided, which
+    leaves |eps| below about 0.8*delta, inside its sign range.  A walk may
+    start at rung i > 0 only when the caller already knows |eps| below
+    ACCEPT_FACTOR times rung i-1's offset, with the same confidence, as the
+    median search does from its bracket's ends.  The last rung, at eps0,
+    resolves |eps| down to ACCEPT_FACTOR*eps0.
     """
     stream = derive_seed(seed, SALT_ARMS)
-    for rung, scale in enumerate(_ladder(eps0)):
-        sign = _arm_test(o, kappa, derive_seed(stream, rung), scale)
+    scales = list(_ladder(eps0))
+    for rung in range(start, len(scales)):
+        sign = _arm_test(o, kappa, derive_seed(stream, rung), scales[rung])
         if sign is not None:
-            return sign
-    return None
+            return sign, rung
+    return None, len(scales)
 
 
 def more_than_half_below(d: Dataset, mu: float, eps_min: float, kappa: float = 3.0,
-                         mode: str = "exact", seed: int = 0) -> Optional[bool]:
+                         mode: str = "exact", seed: int = 0,
+                         start: int = 0) -> Tuple[Optional[bool], int]:
     """The median search's comparison at threshold mu: do more than half of
-    the values lie below it (eps > 0)?
+    the values lie below it (eps > 0)?  Returns the answer and the ladder
+    rung that gave it.
 
-    Exact mode reads the partition's sign, so it always answers; a balanced
-    split (eps == 0) answers False.  Sampled mode walks the arm ladder
-    (``_arm_sign``) down to eps_min and answers None when every rung stays
-    undecided, which means |eps| < ACCEPT_FACTOR*eps_min with the last
-    rung's confidence, 1 - 2*exp(-2*kappa^2).  Either way it builds one
-    oracle and makes no classical draw.
+    Exact mode reads the partition's sign, so it always answers, at rung 0;
+    a balanced split (eps == 0) answers False.  Sampled mode walks the arm
+    ladder (``_arm_sign``) from rung ``start`` down to eps_min and answers
+    None when every rung stays undecided, which means
+    |eps| < ACCEPT_FACTOR*eps_min with the last rung's confidence,
+    1 - 2*exp(-2*kappa^2).  A decided rung i > 0 also bounds |eps| below
+    ACCEPT_FACTOR times rung i-1's offset, with that confidence: rung i-1
+    stayed undecided here, or the caller's ``start`` already bounded it.
+    Either way it builds one oracle and makes no classical draw.
     """
     o = make_oracle(d, mu)
     if mode == "exact":
-        return o.eps > 0.0
-    sign = _arm_sign(o, kappa, seed, eps_min)
-    return None if sign is None else sign == 1
+        return o.eps > 0.0, 0
+    sign, rung = _arm_sign(o, kappa, seed, eps_min, start)
+    return None if sign is None else sign == 1, rung
 
 
 def eps_est(
@@ -328,7 +341,7 @@ def eps_est(
         # f(-eps0) is lower, and would read noise on an in-bracket negative
         # imbalance as overflow more often
         overflow = res.f_hat > predicted_fraction(eps0, beta) + _TOP_TOL
-        sgn = _arm_sign(o, kappa, seed, eps0)
+        sgn, _ = _arm_sign(o, kappa, seed, eps0)
     if overflow:
         m, ci = eps0, (eps0, 1.0)
     else:

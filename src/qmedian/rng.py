@@ -62,6 +62,25 @@ def derive_seed(seed: int, salt: int) -> int:
     return mix64((seed ^ salt) & _MASK64)
 
 
+# The mix as uint64 array constants, built once: np.uint64(...) per call
+# costs more than the arithmetic on a short array.
+_U_GOLDEN = np.uint64(_GOLDEN)
+_U_MIX1 = np.uint64(_MIX1)
+_U_MIX2 = np.uint64(_MIX2)
+_U30, _U27, _U31, _U11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """``mix64`` on every element of z, in place (uint64 wraps mod 2^64)."""
+    z += _U_GOLDEN
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    return z
+
+
 def _mixed_words(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Raw first words of the sub-streams start .. start+count-1 of seed.
 
@@ -70,19 +89,6 @@ def _mixed_words(seed: int, count: int, start: int = 0) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    golden = np.uint64(_GOLDEN)
-    m1 = np.uint64(_MIX1)
-    m2 = np.uint64(_MIX2)
-
-    def _mix(z: np.ndarray) -> np.ndarray:
-        z += golden
-        z ^= z >> np.uint64(30)
-        z *= m1
-        z ^= z >> np.uint64(27)
-        z *= m2
-        z ^= z >> np.uint64(31)
-        return z
-
     states = np.arange(start, start + count, dtype=np.uint64)
     states ^= np.uint64(seed & _MASK64)
     return _mix(_mix(states))
@@ -93,7 +99,7 @@ def bulk_uniforms(seed: int, count: int) -> np.ndarray:
 
     Element j equals RandomStream(derive_seed(seed, j)).next_float() exactly.
     """
-    return (_mixed_words(seed, count) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    return (_mixed_words(seed, count) >> _U11).astype(np.float64) * _TO_UNIT
 
 
 def bernoulli_hits(seed: int, count: int, p: float, start: int = 0) -> np.ndarray:

@@ -5,8 +5,10 @@ import pytest
 
 from qmedian import (
     ParameterError,
+    adaptive,
     bisection_steps,
     dataset_from_values,
+    derive_seed,
     estimator,
     median_search,
     median_search_counted,
@@ -70,8 +72,8 @@ def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
         for seed in range(10):
             sign = 1 if seed % 2 == 0 else -1
             d, _ = synth_dataset(14, sign * mag, 0.5, seed)
-            below = estimator.more_than_half_below(d, 0.5, 0.002, mode="sampled",
-                                                   seed=seed)
+            below, _ = estimator.more_than_half_below(d, 0.5, 0.002, mode="sampled",
+                                                      seed=seed)
             assert below in (None, sign == 1), (mag, seed)
         passes.append(cost["passes"])
         total.append(cost["passes"] + cost["classical"])
@@ -102,6 +104,105 @@ def test_sampled_search_arm_draws_halved(monkeypatch):
                                              mode="sampled", seed=i)
         assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, i
     assert draws[0] / 6 <= 0.55 * 700342.33
+
+
+def test_sampled_search_skips_rungs_the_bracket_ruled_out(monkeypatch):
+    # the halved-draws searches again: a step that starts its ladder at the
+    # rung its bracket's ends allow skips the top rung's draws, which a walk
+    # from the top spent at every step (339,104.33 per search)
+    draws = [0]
+    hits = estimator.bernoulli_hits
+
+    def counted(seed, count, p, start=0):
+        draws[0] += count
+        return hits(seed, count, p, start)
+
+    monkeypatch.setattr(estimator, "bernoulli_hits", counted)
+    size = 2**14
+    for i in range(6):
+        vals = np.random.default_rng([5, i]).random(size) * 1000.0
+        d = dataset_from_values(vals)
+        mu_hat, _, _ = median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.01,
+                                             mode="sampled", seed=i)
+        assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, i
+    assert draws[0] / 6 <= 0.8 * 339104.33
+
+
+def _search_values(bits, kind, i):
+    vals = np.random.default_rng([11, bits, i]).random(1 << bits) * 1000.0
+    if kind == "low":
+        vals[:16] = -1e6 + np.arange(16)
+    return vals
+
+
+def _recorded_search(monkeypatch, d, vmin, vmax, delta, eps_min, seed):
+    """The sampled search, with each step's (mu, start rung, answer)."""
+    calls = []
+    compare = adaptive.more_than_half_below
+
+    def recorded(d, mu, eps_min, kappa, mode, seed, start):
+        got = compare(d, mu, eps_min, kappa, mode, seed, start)
+        calls.append((mu, start, got[0]))
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(adaptive, "more_than_half_below", recorded)
+        result = median_search_counted(d, vmin, vmax, delta, eps_min, mode="sampled",
+                                       seed=seed)
+    return result, calls
+
+
+def _cold_search(d, vmin, vmax, delta, eps_min, seed):
+    """Bisection whose every step walks the ladder from the top rung."""
+    lower, upper = vmin, vmax
+    mu, decisions = 0.5 * (lower + upper), []
+    for step in range(bisection_steps(vmax - vmin, delta)):
+        mu = 0.5 * (lower + upper)
+        below, _ = estimator.more_than_half_below(d, mu, eps_min, 3.0, "sampled",
+                                                  derive_seed(seed, step))
+        decisions.append((mu, below))
+        if below is None:
+            break
+        if below:
+            upper = mu
+        else:
+            lower = mu
+    return mu, decisions
+
+
+def test_warm_started_search_decides_like_a_cold_ladder(monkeypatch):
+    # every step answers as a walk from the top rung would, so the search
+    # returns what it returned before it skipped rungs; vmin and vmax bound
+    # nothing about eps, so a step whose bracket still has either as an end
+    # walks the whole ladder
+    later_starts = []
+    for bits in (12, 14, 16):
+        for eps_min in (0.01, 0.003):
+            for kind in ("uniform", "low"):
+                for seed in range(2):
+                    vals = _search_values(bits, kind, seed)
+                    d = dataset_from_values(vals)
+                    vmin, vmax = float(vals.min()), float(vals.max())
+                    delta = (vmax - vmin) / 2**20
+                    (mu_hat, steps, _), calls = _recorded_search(
+                        monkeypatch, d, vmin, vmax, delta, eps_min, seed)
+                    cold_mu, cold = _cold_search(d, vmin, vmax, delta, eps_min, seed)
+                    where = (bits, eps_min, kind, seed)
+                    assert [(mu, below) for mu, _, below in calls] == cold, where
+                    assert (mu_hat, steps) == (cold_mu, len(cold)), where
+                    size = 1 << bits
+                    assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, where
+                    lower, upper = vmin, vmax
+                    for mu, start, below in calls:
+                        if lower == vmin or upper == vmax:
+                            assert start == 0, (where, mu)
+                        else:
+                            later_starts.append(start)
+                        if below:
+                            upper = mu
+                        else:
+                            lower = mu
+    assert max(later_starts) > 0
 
 
 # --------------------------------------------------------------- bisection

@@ -27,7 +27,7 @@ from qmedian import (
 )
 from qmedian import driver, estimator
 from qmedian.checks import evolve, grid_oracle
-from qmedian.rng import SALT_SAMPLES
+from qmedian.rng import SALT_SAMPLES, bernoulli_hits
 from qmedian.statevector import sample, sample_many
 
 
@@ -136,7 +136,8 @@ def test_exact_experiment_reads_model_fraction():
     plan = RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0)
     res = run_experiment(o, plan)
     assert res.f_hat == res.exact_p
-    assert res.outcomes is None
+    # no draw: the seed changes nothing
+    assert run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 9)) == res
     assert res.alpha == 100
     assert abs(res.f_hat - predicted_fraction(0.125, 1)) < 1e-12
     assert res.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
@@ -147,10 +148,11 @@ def test_sampled_experiment_known_counts():
     plan = RunPlan(0.1, 0.1, 3.0, 100, 1, "sampled", 0)
     res = run_experiment(o, plan)
     assert res.f_hat == 0.09
-    assert int(res.outcomes.sum()) == 9
     assert res.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
-    assert res.outcomes.shape == (100,)
-    assert res.outcomes.dtype == bool
+    # 9 hits among the plan's 100 draws from the sample sub-stream
+    hits = bernoulli_hits(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha, res.exact_p)
+    assert hits.shape == (100,)
+    assert int(hits.sum()) == 9 == res.f_hat * plan.alpha
 
 
 def test_sampled_experiment_deterministic_and_seed_sensitive():
@@ -158,10 +160,10 @@ def test_sampled_experiment_deterministic_and_seed_sensitive():
     plan = RunPlan(0.1, 0.1, 3.0, 500, 1, "sampled", 7)
     a = run_experiment(o, plan)
     b = run_experiment(o, plan)
-    assert a.f_hat == b.f_hat
-    assert a.outcomes.tolist() == b.outcomes.tolist()
+    assert a == b
     c = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 500, 1, "sampled", 8))
-    assert c.outcomes.tolist() != a.outcomes.tolist()
+    assert c.exact_p == a.exact_p
+    assert c.f_hat != a.f_hat
 
 
 def test_resampling_every_draw_changes_nothing():
@@ -178,7 +180,7 @@ def test_resampling_every_draw_changes_nothing():
         for j in range(plan.alpha)
     ]
     res = run_experiment(o, plan)
-    assert res.outcomes.tolist() == slow
+    assert bernoulli_hits(draw_seed, plan.alpha, res.exact_p).tolist() == slow
     assert res.f_hat == sum(slow) / plan.alpha
 
     for o in reference_oracles():
@@ -187,7 +189,9 @@ def test_resampling_every_draw_changes_nothing():
                 plan = RunPlan(0.1, 0.1, 3.0, 256, p.r, "sampled", p.r)
                 uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
                 want = o.below_mask[sample_many(p.state, uniforms)]
-                assert run_experiment(o, plan).outcomes.tolist() == want.tolist()
+                res = run_experiment(o, plan)
+                assert (uniforms < res.exact_p).tolist() == want.tolist()
+                assert res.f_hat == np.count_nonzero(want) / plan.alpha
 
 
 def test_sampled_outcomes_ignore_partition_order():
@@ -202,9 +206,7 @@ def test_sampled_outcomes_ignore_partition_order():
         want = run_experiment(head, plan)
         got = run_experiment(shuffled, plan)
         uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
-        assert got.exact_p == want.exact_p
-        assert got.outcomes.tolist() == want.outcomes.tolist()
-        assert got.outcomes.tolist() == (uniforms < got.exact_p).tolist()
+        assert got == want
         assert got.f_hat == np.count_nonzero(uniforms < got.exact_p) / plan.alpha
 
 

@@ -421,7 +421,7 @@ def test_arm_ladder_sign_is_right_or_undecided(eps0):
         for sign in (1, -1):
             for seed in range(3):
                 d, _ = synth_dataset(14, sign * mag, 0.5, seed)
-                got = estimator._arm_sign(make_oracle(d, 0.5), 3.0, seed, eps0)
+                got, _ = estimator._arm_sign(make_oracle(d, 0.5), 3.0, seed, eps0)
                 assert got in (sign, None), (mag, sign, seed)
                 if mag >= 0.3:
                     assert got == sign, (mag, sign, seed)
@@ -457,7 +457,7 @@ def test_arm_ladder_leaves_a_balanced_split_undecided():
     o = make_oracle(d, 0.5)
     assert eps == o.eps == 0.0
     for seed in range(200):
-        assert estimator._arm_sign(o, 3.0, seed, 0.01) is None, seed
+        assert estimator._arm_sign(o, 3.0, seed, 0.01)[0] is None, seed
 
 
 def test_sampled_results_do_not_depend_on_the_design_cache():
@@ -490,7 +490,7 @@ def test_sampled_sign_in_bracket_makes_no_classical_draw(monkeypatch):
     for sign in (1, -1):
         for seed in range(4):
             d, _ = synth_dataset(14, sign * 0.03, 0.5, seed)
-            assert estimator._arm_sign(make_oracle(d, 0.5), 3.0, seed, 0.1) == sign, seed
+            assert estimator._arm_sign(make_oracle(d, 0.5), 3.0, seed, 0.1)[0] == sign, seed
             # the estimate takes that sign whatever its readout's precision
             for theta in (0.03, 0.005):
                 rec = eps_est(d, 0.5, eps0=0.1, theta=theta, mode="sampled", seed=seed)
