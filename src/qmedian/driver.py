@@ -100,9 +100,10 @@ def choose_beta(eps0: float) -> int:
     """Loop count for a given prior bound: max(1, floor(1/(20*eps0))).
 
     Keeps beta*eps0 <= 0.05, or <= 0.1 where eps0 > 0.05 forces beta = 1,
-    well inside ``estimator.MONOTONE_CAP`` = 0.45, the product up to which
-    both branches of the fraction curve are strictly monotone (invertible),
-    so ``eps_est`` needs no bracket check of its own.
+    well inside 0.45, the product up to which both branches of the fraction
+    curve are verified strictly monotone (invertible) for every beta up to
+    200 (tests/test_estimator.py), so ``eps_est`` needs no bracket check of
+    its own.
     """
     if not (0.0 < eps0 <= 0.1):
         raise ParameterError(f"eps0 must be in (0, 0.1], got {eps0}")

@@ -9,22 +9,25 @@ magnitude only to leading order, so estimation proceeds in two steps:
    bit whose half holds (1 + s*delta)*N/2 below entries (s = +-1), so its
    imbalance is exactly (eps + s*delta)/2 and its fraction is
    f((eps + s*delta)/2, beta').  The difference of the two arms' hit rates,
-   less its known value at eps = 0, carries the sign of eps; a Hoeffding
-   test on it returns the sign or, inside its noise, None.  The arms share
-   no draw, so the difference is a sum of 2*alpha_s independent draws, each
-   ranging over 1/alpha_s, and Hoeffding on those draws gates it at
-   kappa*sqrt(2/alpha_s) with error probability at most 2*exp(-2*kappa^2);
-   alpha_s is the fewest draws per arm that put the gate at half the
-   contrast at |eps| = delta/5.  The pairs form a ladder, walked down until
-   one decides: delta = 1/4, 1/8, ... while above eps0, then eps0.  A pair
-   decides |eps| >= delta/5 and keeps the right sign up to |eps| ~=
-   3.4*delta (the top one, at one pass, over all of [-1, 1]); a rung runs
-   only after the coarser one stayed undecided, which leaves |eps| below
-   about 0.4 of the coarser delta, inside its own sign range.  The ladder's
-   cost grows as 1/eps0 loop passes, where a classical probe would need
-   1/eps0^2 draws, and sampled mode makes no classical draw at all.  Its
-   verdict is an overflow of the measured fraction past the positive
-   bracket top f(+eps0, beta), whatever the sign;
+   less its known value at eps = 0, carries the sign of eps; the test
+   returns that sign when the difference clears a gate at half its value
+   at |eps| = ACCEPT_FACTOR*delta, and None inside it.  The arms share no
+   draw, so the difference is a mean of alpha_s independent pair
+   differences, and alpha_s is the fewest pairs whose Chernoff bound puts
+   both a wrong sign and a miss at |eps| >= ACCEPT_FACTOR*delta at
+   exp(-2*kappa^2) or below.  The pairs form a ladder, walked down until
+   one decides: delta = 1/4, 1/8, ... while above eps0, then eps0.  The top
+   pair, at delta = 1/4 and one pass, keeps the right sign over all of
+   [-1, 1].  A rung below it runs only after the coarser one, at no more
+   than twice its offset, stayed undecided, so the |eps| it can see, its
+   admissible range, is |eps| < 2*ACCEPT_FACTOR*delta; it runs
+   floor(0.9/delta) passes, keeps the right sign up to |eps| ~= 1.7*delta,
+   and its design checks the sign on |eps| <= 0.8*delta, twice the
+   admissible range.  The ladder's cost grows as 1/eps0 loop passes, where
+   a classical probe would need 1/eps0^2 draws, and sampled mode makes no
+   classical draw at all.  Its verdict is an overflow of the measured
+   fraction past the positive bracket top f(+eps0, beta), whatever the
+   sign;
 2. fit the magnitude once, on the sign's branch m -> f(sign*m, beta) (the
    positive one when the sign is undecided), by a bracketed secant
    (Illinois) iteration, with an interval from the Hoeffding band
@@ -58,16 +61,11 @@ from .baseline import (
 )
 from .dataset import Dataset, ThresholdOracle, make_oracle
 from .driver import RunPlan, choose_alpha, choose_beta, run_experiment
+from .errors import ParameterError
 from .model import predicted_fraction
 from .rng import SALT_ARMS, bernoulli_hits, derive_seed
 
 BRACKET_TOL = 1e-12
-
-# Both branches m -> f(+m, beta) and m -> f(-m, beta) peak near
-# beta*m ~ 0.53..0.79; each is verified strictly increasing on
-# [0, MONOTONE_CAP/beta] for every beta up to 200, which is the widest
-# bracket any caller here uses.
-MONOTONE_CAP = 0.45
 
 # Forgives rounding at the very top of a bracket; a genuinely out-of-range
 # fraction overshoots by orders of magnitude more.
@@ -77,13 +75,19 @@ _TOP_TOL = 1e-9
 # the two-arm sign test is sized to resolve.
 ACCEPT_FACTOR = 0.2
 
-# Largest loop count for which MONOTONE_CAP is verified.
-_BETA_CAP = 200
-
 # Offset of the sign ladder's top rung.  At delta = 1/4 (one pass) the arms'
 # offset-corrected difference has the sign of eps for every eps in [-1, 1];
-# no offset from 0.1 to 0.2, with the passes MONOTONE_CAP allows, does.
+# no offset from 0.1 to 0.2 at the passes of the rungs below does.
 _COARSE_SCALE = 0.25
+
+# Loop passes per unit offset below the top rung: beta' = floor(0.9/delta).
+# The arms' contrast grows about as beta'^2 while a draw costs beta' passes,
+# and at 0.9 it still has the sign of eps up to |eps| ~= 1.7*delta, past
+# the 0.8*delta that ``_arm_design`` checks.
+_SIGN_LOOP = 0.9
+
+# Points of the eps grid on which ``_arm_design`` checks a rung.
+_DESIGN_GRID = 801
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,9 @@ def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
     1 - 2*exp(-2*kappa^2).  A fraction at or above the bracket top fits to
     eps_hi, as does the interval's upper end whenever the band reaches the
     top; telling an overflow from noise is the caller's verdict.  The
-    caller keeps beta >= 1, f_hat >= 0 and eps_hi <= MONOTONE_CAP/beta."""
+    caller keeps beta >= 1, f_hat >= 0 and beta*eps_hi <= 0.45, the product
+    up to which both branches are verified strictly increasing for every
+    beta up to 200 (tests/test_estimator.py)."""
     top = predicted_fraction(sign * eps_hi, beta)
     m = _invert(f_hat, beta, eps_hi, top, sign)
     if alpha is None:
@@ -184,33 +190,87 @@ def _gated_sign(stat: float, gate: float) -> Optional[int]:
     return None
 
 
+def _chernoff_exponent(p_a: np.ndarray, p_b: np.ndarray, t: float) -> np.ndarray:
+    """Per-pair Chernoff exponent of the lower tail P(mean of A - B <= t),
+    A ~ Bernoulli(p_a) and B ~ Bernoulli(p_b) independent, elementwise:
+    -min over lambda >= 0 of log E exp(-lambda*(A - B)) + lambda*t, for
+    -1 < t < 1.  The tail of alpha pairs is at most exp(-alpha*exponent).
+
+    At x = exp(lambda) the derivative vanishes where
+    (1+t)p_b(1-p_a)x^2 + t((1-p_a)(1-p_b) + p_a*p_b)x - (1-t)p_a(1-p_b) = 0,
+    whose one positive root is taken in the form that does not cancel.  A
+    root below 1 (the mean p_a - p_b at or below t) gives exponent 0, and
+    an infinite root (the tail is empty) an infinite one.
+    """
+    a = (1.0 + t) * p_b * (1.0 - p_a)
+    b = t * ((1.0 - p_a) * (1.0 - p_b) + p_a * p_b)
+    c = -(1.0 - t) * p_a * (1.0 - p_b)
+    root = np.sqrt(b * b - 4.0 * a * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.maximum(np.where(b >= 0.0, -2.0 * c / (b + root), (root - b) / (2.0 * a)),
+                       1.0)
+        value = np.log(1.0 - p_a + p_a / x) + np.log(1.0 - p_b + p_b * x) + t * np.log(x)
+    return np.where(np.isinf(x), np.inf, -value)
+
+
 @functools.lru_cache(maxsize=256)
-def _arm_design(size: int, scale: float, kappa: float) -> Tuple[float, int, int, float]:
-    """(delta, beta', alpha_s, g0) of a two-arm sign test on 2^n = size
-    values, with its offset on the grid nearest scale.
+def _arm_design(size: int, scale: float,
+                kappa: float) -> Tuple[float, int, int, float, float]:
+    """(delta, beta', alpha_s, g0, gate) of a two-arm sign test on 2^n =
+    size values, with its offset on the grid nearest scale.
 
     delta = 2j/size with j = max(1, round(scale*size/2)), so the ancilla
-    half's (1 + s*delta)*size/2 below entries are whole.  beta' =
-    max(1, min(200, floor(MONOTONE_CAP/delta))) keeps both arms, at
-    |(eps +- delta)/2| <= delta, on the monotone bracket.  g0 =
-    f(delta/2, beta') - f(-delta/2, beta') is the arms' difference at
-    eps = 0, the odd-order asymmetry of the branches.  alpha_s =
-    ceil(8*(kappa/c)^2), where c is the smaller offset-corrected contrast at
-    eps = +-ACCEPT_FACTOR*delta, puts the test's gate kappa*sqrt(2/alpha_s)
-    (``_arm_test``) at c/2 or below.  A pure function of its arguments, and
-    asked again for every rung of every comparison, so it is cached.
+    half's (1 + s*delta)*size/2 below entries are whole.  The top rung
+    (scale 1/4) runs beta' = 1 pass and must keep the sign over all of
+    [-1, 1]; a rung below it runs beta' = max(1, floor(_SIGN_LOOP/delta))
+    passes and sees only |eps| < 2*ACCEPT_FACTOR*delta (``_arm_sign``), so
+    it is checked on twice that, |eps| <= 4*ACCEPT_FACTOR*delta = 0.8*delta.
+    g0 = f(delta/2, beta') - f(-delta/2, beta') is the arms' difference at
+    eps = 0, the odd-order asymmetry of the branches, and gate is half the
+    smaller offset-corrected contrast at eps = +-ACCEPT_FACTOR*delta.
+
+    On _DESIGN_GRID points over that range, plus +-ACCEPT_FACTOR*delta,
+    each pair's Chernoff exponent (``_chernoff_exponent``) bounds two
+    events: a wrong sign (the statistic past the gate on the other side of
+    0) and, where |eps| >= ACCEPT_FACTOR*delta, a miss (the statistic
+    inside the gate).  alpha_s = ceil(2*kappa^2/I*), I* the smallest
+    exponent, puts both at exp(-2*kappa^2) or below.  Hoeffding's c^2/4,
+    c = 2*gate, bounds I* from below, so alpha_s never exceeds a Hoeffding
+    sizing at the same gate.  A zero exponent means the contrast has the
+    wrong sign, or stays inside the gate, at some grid point, and raises
+    ParameterError: on 2 or 4 values the top rung's offset rounds to 1 or
+    1/2 and loses the sign.  A pure function of its arguments, and asked
+    again for every rung of every comparison, so it is cached.
     """
     delta = 2.0 * max(1, round(scale * size / 2.0)) / size
-    beta = max(1, min(_BETA_CAP, math.floor(MONOTONE_CAP / delta)))
-    offset = (predicted_fraction(delta / 2.0, beta)
-              - predicted_fraction(-delta / 2.0, beta))
+    top = scale >= _COARSE_SCALE
+    beta = 1 if top else max(1, math.floor(_SIGN_LOOP / delta))
+    edge = ACCEPT_FACTOR * delta
+    reach = 1.0 if top else 4.0 * edge
+
+    def frac(eps: float) -> float:
+        return predicted_fraction(eps, beta)
+
+    offset = frac(delta / 2.0) - frac(-delta / 2.0)
 
     def contrast(eps: float) -> float:
-        return (predicted_fraction((eps + delta) / 2.0, beta)
-                - predicted_fraction((eps - delta) / 2.0, beta) - offset)
+        return frac((eps + delta) / 2.0) - frac((eps - delta) / 2.0) - offset
 
-    c = min(contrast(ACCEPT_FACTOR * delta), -contrast(-ACCEPT_FACTOR * delta))
-    return delta, beta, math.ceil(8.0 * (kappa / c) ** 2 - 1e-9), offset
+    gate = min(contrast(edge), -contrast(-edge)) / 2.0
+    eps = np.concatenate([np.linspace(-reach, reach, _DESIGN_GRID), [-edge, edge]])
+    up = np.array([frac((e + delta) / 2.0) for e in eps])
+    down = np.array([frac((e - delta) / 2.0) for e in eps])
+    pos, neg, far_pos, far_neg = eps >= 0.0, eps <= 0.0, eps >= edge, eps <= -edge
+    rate = min(  # wrong sign, then miss, for eps >= 0; mirrored for eps <= 0
+        _chernoff_exponent(up[pos], down[pos], offset - gate).min(),
+        _chernoff_exponent(up[far_pos], down[far_pos], offset + gate).min(),
+        _chernoff_exponent(down[neg], up[neg], -offset - gate).min(),
+        _chernoff_exponent(down[far_neg], up[far_neg], gate - offset).min())
+    if not rate > 0.0:
+        raise ParameterError(
+            f"sampled mode cannot keep the sign on {size} values: the two-arm "
+            f"test at offset {delta} with {beta} loop passes loses it")
+    return delta, beta, math.ceil(2.0 * kappa * kappa / rate), offset, gate
 
 
 def _arm_test(o: ThresholdOracle, kappa: float, seed: int, scale: float) -> Optional[int]:
@@ -220,21 +280,19 @@ def _arm_test(o: ThresholdOracle, kappa: float, seed: int, scale: float) -> Opti
     read off the closed form like ``run_experiment``'s readout, from the
     sub-streams of seed: indices 0..alpha_s-1 for the up arm and
     alpha_s..2*alpha_s-1 for the down arm.  Neither arm builds a register.
-    The statistic (up - down)/alpha_s - g0 is a sum of 2*alpha_s independent
-    draws (the arms share none), each ranging over 1/alpha_s, so by
-    Hoeffding it strays from its mean by more than kappa*sqrt(2/alpha_s)
-    with probability at most 2*exp(-2*kappa^2), the confidence of
-    ``_fit``'s band.  Sizing it on alpha_s paired differences in [-1, 1]
-    would need twice the draws for that gate.  Returns +1 or -1 when it
-    clears the gate, None inside it.
+    The statistic (up - down)/alpha_s - g0 is the mean of alpha_s
+    independent pair differences (the arms share no draw), and the design's
+    Chernoff sizing keeps both a wrong sign and a miss at |eps| >=
+    ACCEPT_FACTOR*delta at probability exp(-2*kappa^2) or below, for every
+    |eps| the rung can see.  Returns +1 or -1 when it clears the design's
+    gate, None inside it.
     """
-    delta, beta, alpha, offset = _arm_design(o.size, scale, kappa)
+    delta, beta, alpha, offset, gate = _arm_design(o.size, scale, kappa)
     up = np.count_nonzero(
         bernoulli_hits(seed, alpha, predicted_fraction((o.eps + delta) / 2.0, beta)))
     down = np.count_nonzero(
         bernoulli_hits(seed, alpha, predicted_fraction((o.eps - delta) / 2.0, beta), alpha))
-    diff = (up - down) / alpha - offset
-    return _gated_sign(diff, kappa * math.sqrt(2.0 / alpha))
+    return _gated_sign((up - down) / alpha - offset, gate)
 
 
 def _ladder(eps0: float) -> Iterator[float]:
@@ -257,16 +315,18 @@ def _arm_sign(o: ThresholdOracle, kappa: float, seed: int, eps0: float,
     Rung i runs ``_arm_test`` at offset ``_ladder(eps0)``'s i-th scale on the
     sub-stream derive_seed(derive_seed(seed, SALT_ARMS), i), whatever rung
     the walk starts at.  A test at offset delta decides
-    |eps| >= ACCEPT_FACTOR*delta but keeps the right sign only up to
-    |eps| ~= 3.4*delta, and an aliased fraction can put a far larger |eps|
-    inside the bracket.  The top rung, at delta = 1/4 and one pass, keeps the
-    right sign over all of [-1, 1]; every later rung runs only after the rung
-    above it, at no more than twice its offset, stayed undecided, which
-    leaves |eps| below about 0.8*delta, inside its sign range.  A walk may
-    start at rung i > 0 only when the caller already knows |eps| below
-    ACCEPT_FACTOR times rung i-1's offset, with the same confidence, as the
-    median search does from its bracket's ends.  The last rung, at eps0,
-    resolves |eps| down to ACCEPT_FACTOR*eps0.
+    |eps| >= ACCEPT_FACTOR*delta, but below the top rung it keeps the right
+    sign only up to |eps| ~= 1.7*delta, and an aliased fraction can put a
+    far larger |eps| inside the bracket.  The top rung, at delta = 1/4 and
+    one pass, keeps the right sign over all of [-1, 1]; every later rung runs
+    only after the rung above it, at no more than twice its offset, stayed
+    undecided, which leaves |eps| below 2*ACCEPT_FACTOR*delta = 0.4*delta,
+    the admissible range its design checks with a margin of two
+    (``_arm_design``).  A walk may start at rung i > 0 only when the caller
+    already knows |eps| below ACCEPT_FACTOR times rung i-1's offset, with
+    the same confidence, as the median search does from its bracket's
+    ends.  The last rung, at eps0, resolves |eps| down to
+    ACCEPT_FACTOR*eps0.
     """
     stream = derive_seed(seed, SALT_ARMS)
     scales = list(_ladder(eps0))
@@ -314,7 +374,8 @@ def eps_est(
 
     Sets beta = max(1, floor(1/(20*eps0))) (``choose_beta``) from the prior
     bound and alpha = ceil(1/theta^2) (``choose_alpha``) from the precision
-    target, and runs the experiment.  beta*eps0 <= 0.1 < MONOTONE_CAP, so
+    target, and runs the experiment.  beta*eps0 <= 0.1, inside the product
+    0.45 up to which both branches are verified strictly increasing, so
     [0, eps0] is a monotone bracket on both branches.  It then takes the
     sign and the verdict first: exact mode from the partition, in that one
     experiment; sampled mode from the ladder of amplified arm pairs

@@ -44,7 +44,7 @@ def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
     # 1/eps^2 draws of direct sampling.  A sampled comparison walks the arm
     # ladder down to eps_min and makes no classical draw, so the total (the
     # experiments' and the arms' loop passes) keeps the amplified slope,
-    # about 0.8 here
+    # about 0.7 here
     cost = {"passes": 0, "classical": 0}
     run, probe, arms = (estimator.run_experiment, estimator.classical_estimate,
                         estimator._arm_test)
@@ -58,7 +58,7 @@ def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
         return probe(o, m, seed)
 
     def counted_arms(o, kappa, seed, scale):
-        _, beta, alpha, _ = estimator._arm_design(o.size, scale, kappa)
+        _, beta, alpha, _, _ = estimator._arm_design(o.size, scale, kappa)
         cost["passes"] += 2 * alpha * beta
         return arms(o, kappa, seed, scale)
 
@@ -126,6 +126,32 @@ def test_sampled_search_skips_rungs_the_bracket_ruled_out(monkeypatch):
                                              mode="sampled", seed=i)
         assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, i
     assert draws[0] / 6 <= 0.8 * 339104.33
+
+
+def test_sampled_search_arm_passes_sized_for_the_loop(monkeypatch):
+    # the halved-draws searches again, counting the arms' loop passes, the
+    # paper's cost: rungs below the top at floor(0.45/delta) passes, each
+    # sized by Hoeffding, spent 1,485,031.67 passes and 246,803.67 draws per
+    # search here
+    cost = {"passes": 0, "draws": 0}
+    arms = estimator._arm_test
+
+    def counted_arms(o, kappa, seed, scale):
+        _, beta, alpha, _, _ = estimator._arm_design(o.size, scale, kappa)
+        cost["passes"] += 2 * alpha * beta
+        cost["draws"] += 2 * alpha
+        return arms(o, kappa, seed, scale)
+
+    monkeypatch.setattr(estimator, "_arm_test", counted_arms)
+    size = 2**14
+    for i in range(6):
+        vals = np.random.default_rng([5, i]).random(size) * 1000.0
+        d = dataset_from_values(vals)
+        mu_hat, _, _ = median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.01,
+                                             mode="sampled", seed=i)
+        assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, i
+    assert cost["passes"] / 6 <= 0.5 * 1485031.67
+    assert cost["draws"] / 6 <= 0.4 * 246803.67
 
 
 def _search_values(bits, kind, i):

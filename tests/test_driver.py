@@ -25,7 +25,7 @@ from qmedian import (
     prepare,
     run_experiment,
 )
-from qmedian import driver, estimator
+from qmedian import driver
 from qmedian.checks import evolve, grid_oracle
 from qmedian.rng import SALT_SAMPLES, bernoulli_hits
 from qmedian.statevector import sample, sample_many
@@ -55,6 +55,12 @@ def test_choose_beta_table():
     assert choose_beta(0.003) == 16
 
 
+# test_estimator.test_monotone_on_bracket verifies both branches
+# m -> f(+-m, beta) strictly increasing on [0, MONOTONE_CAP/beta] for every
+# beta up to 200.
+MONOTONE_CAP = 0.45
+
+
 def test_choose_beta_keeps_loop_angle_invertible():
     for eps0 in (0.1, 0.07, 0.03, 0.011, 0.005, 0.0003):
         assert choose_beta(eps0) * eps0 <= 0.1 + 1e-12
@@ -64,7 +70,7 @@ def test_choose_beta_keeps_loop_angle_invertible():
     # including where beta steps (eps0 = 0.05, 0.025)
     grid = np.concatenate([np.geomspace(1e-5, 0.1, 20001), [0.05, 0.025]])
     for eps0 in map(float, grid):
-        assert eps0 <= estimator.MONOTONE_CAP / choose_beta(eps0), eps0
+        assert eps0 <= MONOTONE_CAP / choose_beta(eps0), eps0
 
 
 def test_choose_beta_bounds():

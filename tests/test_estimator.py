@@ -9,6 +9,7 @@ import pytest
 
 from qmedian import estimator
 from qmedian import (
+    ParameterError,
     dataset_from_values,
     eps_est,
     make_oracle,
@@ -18,6 +19,13 @@ from qmedian import (
 )
 from qmedian.checks import evolve, grid_oracle
 from qmedian.estimator import _arm_design, _fit
+
+
+# Both branches m -> f(+m, beta) and m -> f(-m, beta) peak near
+# beta*m ~ 0.53..0.79; test_monotone_on_bracket verifies each strictly
+# increasing on [0, MONOTONE_CAP/beta] for every beta up to 200, the bracket
+# the inversion tests use.
+MONOTONE_CAP = 0.45
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +42,7 @@ def d1024():
 
 def test_invert_fraction_round_trip():
     for beta in (1, 2, 5, 12):
-        hi = estimator.MONOTONE_CAP / beta
+        hi = MONOTONE_CAP / beta
         for eps in np.linspace(1e-4, hi * 0.999, 23):
             f = predicted_fraction(float(eps), beta)
             m = _fit(f, None, 0.0, beta, hi, 1)[0]
@@ -63,7 +71,7 @@ def test_invert_fraction_clamps_at_and_above_top():
 def test_monotone_on_bracket():
     # both branches m -> f(sign*m, beta) share the bracket [0, MONOTONE_CAP/beta]
     for beta in range(1, 201):
-        grid = np.linspace(0.0, estimator.MONOTONE_CAP / beta, 401)
+        grid = np.linspace(0.0, MONOTONE_CAP / beta, 401)
         for sign in (1, -1):
             vals = [predicted_fraction(sign * float(e), beta) for e in grid]
             assert all(b > a for a, b in zip(vals, vals[1:])), (beta, sign)
@@ -79,7 +87,7 @@ def test_inversion_recovers_both_branches_in_few_evaluations(monkeypatch):
 
     monkeypatch.setattr(estimator, "predicted_fraction", counted)
     for beta in (1, 2, 3, 5, 12, 16, 36, 100, 200):
-        hi = estimator.MONOTONE_CAP / beta
+        hi = MONOTONE_CAP / beta
         for sign in (1, -1):
             for eps in np.linspace(0.0, hi, 41):
                 f = predicted_fraction(sign * float(eps), beta)
@@ -376,11 +384,13 @@ def test_estimate_sampled_mu_above_every_value(d1024):
 def test_sign_arm_is_a_one_ancilla_register_experiment(n, n_below, scale):
     # each arm is the loop on the (n+1)-bit register whose ancilla half holds
     # (1 + s*delta)*N/2 more below states; its below fraction after beta'
-    # passes is the closed form the arm draws from
+    # passes is the closed form the arm draws from; the top rung runs one
+    # pass and every rung below it floor(0.9/delta)
     size = 1 << n
     eps = (2 * n_below - size) / size
-    delta, beta, _, _ = _arm_design(size, scale, 3.0)
-    assert delta * beta <= estimator.MONOTONE_CAP
+    delta, beta, _, _, _ = _arm_design(size, scale, 3.0)
+    top = scale == estimator._COARSE_SCALE
+    assert beta == (1 if top else max(1, math.floor(0.9 / delta)))
     for s in (1, -1):
         padded = grid_oracle(n + 1, n_below + round((1 + s * delta) * size / 2))
         assert padded.eps == (eps + s * delta) / 2
@@ -391,18 +401,17 @@ def test_sign_arm_is_a_one_ancilla_register_experiment(n, n_below, scale):
 def test_coarse_arms_keep_the_sign_over_the_whole_range():
     # at offset 1/4 and one pass the arms' offset-corrected difference has the
     # sign of eps on every grid point of a 2^14 register, and clears the
-    # test's gate c/2 by at least c/2 wherever |eps| >= 0.05
+    # design's gate c/2 by at least c/2 wherever |eps| >= 0.05
     size = 1 << 14
-    delta, beta, alpha, offset = _arm_design(size, estimator._COARSE_SCALE, 3.0)
+    delta, beta, _, offset, gate = _arm_design(size, estimator._COARSE_SCALE, 3.0)
     assert (delta, beta) == (0.25, 1)
-    half_gate = 3.0 * math.sqrt(1.0 / alpha)  # 2*half_gate ~= c/sqrt(2) > c/2
     for j in range(size + 1):
         eps = (2 * j - size) / size
         diff = (predicted_fraction((eps + delta) / 2, beta)
                 - predicted_fraction((eps - delta) / 2, beta) - offset)
         assert diff * eps >= 0.0, eps
         if abs(eps) >= 0.05:
-            assert abs(diff) >= 2 * half_gate - 1e-12, eps
+            assert abs(diff) >= 2 * gate - 1e-12, eps
 
 
 def test_arm_ladder_offsets_halve_down_to_eps0():
@@ -414,7 +423,7 @@ def test_arm_ladder_offsets_halve_down_to_eps0():
 
 @pytest.mark.parametrize("eps0", [0.1, 0.0125])
 def test_arm_ladder_sign_is_right_or_undecided(eps0):
-    # |eps| from below 3.4*eps0 (the last rung's sign range) up to 0.05 (the
+    # |eps| from below 1.7*eps0 (the last rung's sign range) up to 0.05 (the
     # top rung's resolution), where a single fine pair may misread the sign,
     # and far past it, where only the top rung reads it right
     for mag in (0.006, 0.02, 0.0425, 0.045, 0.05, 0.3, 0.98):
@@ -427,27 +436,88 @@ def test_arm_ladder_sign_is_right_or_undecided(eps0):
                     assert got == sign, (mag, sign, seed)
 
 
-def test_arm_gate_is_at_most_half_the_contrast_with_fewest_draws():
-    # the arm statistic is a sum of 2*alpha_s independent draws, each
-    # ranging over 1/alpha_s, so its Hoeffding gate is kappa*sqrt(2/alpha_s);
-    # alpha_s is the fewest draws that put it at or below c/2, c the smaller
-    # offset-corrected contrast at eps = +-ACCEPT_FACTOR*delta
-    for eps0 in (0.01, 0.0125):
+def _fractions(eps, beta):
+    """predicted_fraction over an array of imbalances in (-1, 1)."""
+    phi = 2.0 * np.arcsin(eps)
+    k = (np.sqrt((1.0 - eps) / (1.0 + eps)) * (1.0 + eps + 1j) * np.sin(beta * phi)
+         + eps * np.cos(beta * phi))
+    return 0.5 * (1.0 + eps) * np.abs(k) ** 2
+
+
+def _lower_tail_exponent(p_a, p_b, t):
+    """-min over lambda in [0, 40] of log E exp(-lambda*(A - B)) + lambda*t,
+    A ~ Bernoulli(p_a) and B ~ Bernoulli(p_b), by golden-section search on
+    the convex objective."""
+    def objective(lam):
+        return (np.log(1.0 - p_a + p_a * np.exp(-lam))
+                + np.log(1.0 - p_b + p_b * np.exp(lam)) + lam * t)
+
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.zeros_like(p_a), np.full_like(p_a, 40.0)
+    for _ in range(120):
+        m1, m2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        left = objective(m1) <= objective(m2)
+        lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+    return -np.minimum(objective(0.5 * (lo + hi)), 0.0)
+
+
+def test_arm_rungs_keep_the_sign_with_the_fewest_chernoff_draws():
+    # on a grid 4x denser than the design's over each rung's admissible
+    # |eps| (all of [-1, 1] on the top rung, 0.8*delta below it), the
+    # contrast has the sign of eps, and alpha_s is the fewest draws whose
+    # Chernoff bound keeps a wrong sign, and a miss at |eps| >=
+    # ACCEPT_FACTOR*delta, at exp(-2*kappa^2) or below
+    for eps0 in (0.01, 0.003):
         for bits in range(10, 23):
             size = 1 << bits
             for scale in estimator._ladder(eps0):
+                delta, beta, _, offset, gate = _arm_design(size, scale, 3.0)
+                edge = estimator.ACCEPT_FACTOR * delta
+                reach = 1.0 if scale == estimator._COARSE_SCALE else 0.8 * delta
+                eps = np.concatenate([np.linspace(-reach, reach, 3201), [-edge, edge]])
+                up, down = _fractions((eps + delta) / 2, beta), _fractions((eps - delta) / 2, beta)
+                where = (eps0, bits, scale)
+                assert ((up - down - offset) * eps > 0)[eps != 0].all(), where
+                pos, neg = eps >= 0, eps <= 0
+                rate = min(  # wrong sign, then miss, for eps >= 0; mirrored
+                    _lower_tail_exponent(up[pos], down[pos], offset - gate).min(),
+                    _lower_tail_exponent(up[eps >= edge], down[eps >= edge],
+                                         offset + gate).min(),
+                    _lower_tail_exponent(down[neg], up[neg], -offset - gate).min(),
+                    _lower_tail_exponent(down[eps <= -edge], up[eps <= -edge],
+                                         gate - offset).min())
                 for kappa in (1.0, 3.0, 5.0):
-                    delta, beta, alpha, offset = _arm_design(size, scale, kappa)
+                    d = _arm_design(size, scale, kappa)
+                    assert d[:2] + d[3:] == (delta, beta, offset, gate), where
+                    alpha, bound = d[2], 2.0 * kappa**2
+                    assert alpha * rate >= bound * (1.0 - 1e-9), (where, kappa)
+                    assert (alpha - 1) * rate < bound, (where, kappa)
 
-                    def contrast(eps):
-                        return (predicted_fraction((eps + delta) / 2, beta)
-                                - predicted_fraction((eps - delta) / 2, beta) - offset)
 
-                    eps = estimator.ACCEPT_FACTOR * delta
-                    c = min(contrast(eps), -contrast(-eps))
-                    where = (eps0, bits, scale, kappa)
-                    assert kappa * math.sqrt(2.0 / alpha) <= c / 2 + 1e-12, where
-                    assert kappa * math.sqrt(2.0 / (alpha - 1)) > c / 2, where
+def test_arm_design_refuses_a_register_too_small_for_the_sign():
+    # on 4 values the top rung's offset rounds to 1/2, where the arms'
+    # contrast at eps = 1 has the wrong sign; from 8 values on every rung
+    # keeps it
+    with pytest.raises(ParameterError, match="cannot keep the sign on 4 values"):
+        _arm_design(4, estimator._COARSE_SCALE, 3.0)
+    d = dataset_from_values(np.arange(4.0))
+    with pytest.raises(ParameterError):
+        median_search_counted(d, 0.0, 3.0, 0.01, 0.01, mode="sampled")
+    for size in (8, 16):
+        for scale in estimator._ladder(0.01):
+            assert _arm_design(size, scale, 3.0)[2] > 0
+
+
+def test_arm_design_table_is_pinned():
+    # sampled outputs follow (beta', alpha_s); an exponent rounded
+    # differently on another platform or Python could move alpha_s across
+    # a ceil and change them silently
+    def table(eps0, bits):
+        return [_arm_design(1 << bits, scale, 3.0)[1:3] for scale in estimator._ladder(eps0)]
+
+    assert table(0.01, 14) == [(1, 4583), (7, 572), (14, 590), (28, 600), (57, 585),
+                               (89, 586)]
+    assert table(0.1, 18) == [(1, 4583), (7, 572), (9, 550)]
 
 
 def test_arm_ladder_leaves_a_balanced_split_undecided():
