@@ -21,14 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataset import ThresholdOracle
 from .errors import ParameterError
 from .model import predicted_fraction
 from .rng import (
     SALT_SAMPLES,
-    bernoulli_hits,
+    bernoulli_counts,
     bulk_uniforms,  # noqa: F401  unused here; perfbench/tracing.py's WRAPS resolves it
     derive_seed,
 )
@@ -150,14 +148,13 @@ def run_experiment(o: ThresholdOracle, plan: RunPlan) -> ExperimentResult:
 
     Both modes read the below probability exact_p off the closed form and
     build no register.  Exact mode reports it; sampled mode counts draw j
-    below when its uniform u_j < exact_p, over plan.alpha draws (compared
-    on the raw words by ``rng.bernoulli_hits``), and reports the fraction
-    that landed below.  Deterministic given (oracle, plan).
+    below when its uniform u_j < exact_p, over plan.alpha draws (one block
+    of ``rng.bernoulli_counts``, compared on the raw words), and reports the
+    fraction that landed below.  Deterministic given (oracle, plan).
     """
     exact_p = predicted_fraction(o.eps, plan.beta)
     if plan.mode == "exact":
         return ExperimentResult(exact_p, exact_p, plan.alpha)
 
-    hits = int(np.count_nonzero(
-        bernoulli_hits(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha, exact_p)))
+    hits, = bernoulli_counts(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha, (exact_p,))
     return ExperimentResult(hits / plan.alpha, exact_p, plan.alpha)

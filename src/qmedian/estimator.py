@@ -62,8 +62,8 @@ from .baseline import (
 from .dataset import Dataset, ThresholdOracle, make_oracle
 from .driver import RunPlan, choose_alpha, choose_beta, run_experiment
 from .errors import ParameterError
-from .model import predicted_fraction
-from .rng import SALT_ARMS, bernoulli_hits, derive_seed
+from .model import predicted_fraction, predicted_fractions
+from .rng import SALT_ARMS, bernoulli_counts, derive_seed
 
 BRACKET_TOL = 1e-12
 
@@ -230,11 +230,13 @@ def _arm_design(size: int, scale: float,
     smaller offset-corrected contrast at eps = +-ACCEPT_FACTOR*delta.
 
     On _DESIGN_GRID points over that range, plus +-ACCEPT_FACTOR*delta,
-    each pair's Chernoff exponent (``_chernoff_exponent``) bounds two
-    events: a wrong sign (the statistic past the gate on the other side of
-    0) and, where |eps| >= ACCEPT_FACTOR*delta, a miss (the statistic
-    inside the gate).  alpha_s = ceil(2*kappa^2/I*), I* the smallest
-    exponent, puts both at exp(-2*kappa^2) or below.  Hoeffding's c^2/4,
+    with the arms' fractions from the array form
+    ``model.predicted_fractions``, each pair's Chernoff exponent
+    (``_chernoff_exponent``) bounds two events: a wrong sign (the statistic
+    past the gate on the other side of 0) and, where
+    |eps| >= ACCEPT_FACTOR*delta, a miss (the statistic inside the gate).
+    alpha_s = ceil(2*kappa^2/I*), I* the smallest exponent, puts both at
+    exp(-2*kappa^2) or below.  Hoeffding's c^2/4,
     c = 2*gate, bounds I* from below, so alpha_s never exceeds a Hoeffding
     sizing at the same gate.  A zero exponent means the contrast has the
     wrong sign, or stays inside the gate, at some grid point, and raises
@@ -258,8 +260,8 @@ def _arm_design(size: int, scale: float,
 
     gate = min(contrast(edge), -contrast(-edge)) / 2.0
     eps = np.concatenate([np.linspace(-reach, reach, _DESIGN_GRID), [-edge, edge]])
-    up = np.array([frac((e + delta) / 2.0) for e in eps])
-    down = np.array([frac((e - delta) / 2.0) for e in eps])
+    up = predicted_fractions((eps + delta) / 2.0, beta)
+    down = predicted_fractions((eps - delta) / 2.0, beta)
     pos, neg, far_pos, far_neg = eps >= 0.0, eps <= 0.0, eps >= edge, eps <= -edge
     rate = min(  # wrong sign, then miss, for eps >= 0; mirrored for eps <= 0
         _chernoff_exponent(up[pos], down[pos], offset - gate).min(),
@@ -279,7 +281,8 @@ def _arm_test(o: ThresholdOracle, kappa: float, seed: int, scale: float) -> Opti
     Arm s (+1, -1) is alpha_s Bernoulli draws of f((eps + s*delta)/2, beta'),
     read off the closed form like ``run_experiment``'s readout, from the
     sub-streams of seed: indices 0..alpha_s-1 for the up arm and
-    alpha_s..2*alpha_s-1 for the down arm.  Neither arm builds a register.
+    alpha_s..2*alpha_s-1 for the down arm, both counted in one
+    ``rng.bernoulli_counts`` call.  Neither arm builds a register.
     The statistic (up - down)/alpha_s - g0 is the mean of alpha_s
     independent pair differences (the arms share no draw), and the design's
     Chernoff sizing keeps both a wrong sign and a miss at |eps| >=
@@ -288,10 +291,8 @@ def _arm_test(o: ThresholdOracle, kappa: float, seed: int, scale: float) -> Opti
     gate, None inside it.
     """
     delta, beta, alpha, offset, gate = _arm_design(o.size, scale, kappa)
-    up = np.count_nonzero(
-        bernoulli_hits(seed, alpha, predicted_fraction((o.eps + delta) / 2.0, beta)))
-    down = np.count_nonzero(
-        bernoulli_hits(seed, alpha, predicted_fraction((o.eps - delta) / 2.0, beta), alpha))
+    up, down = bernoulli_counts(seed, alpha, (predicted_fraction((o.eps + delta) / 2.0, beta),
+                                              predicted_fraction((o.eps - delta) / 2.0, beta)))
     return _gated_sign((up - down) / alpha - offset, gate)
 
 

@@ -11,12 +11,17 @@ A uniform double in [0, 1) is the top 53 bits: (z >> 11) * 2^-53.
 
 Independent sub-streams are keyed by index: the stream for item j of a run
 seeded with s starts from the splitmix64 output of state (s XOR j).  This
-keeps per-sample draws order-independent and safely parallelizable.
+keeps per-sample draws order-independent and safely parallelizable.  The
+vectorized forms mix a whole range of sub-streams in one pass of uint64
+array arithmetic: ``bulk_uniforms`` returns their uniforms, and
+``bernoulli_counts`` counts the Bernoulli hits of consecutive blocks of
+them (one block per probability), so both arms of a sign test cost one pass.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -62,12 +67,13 @@ def derive_seed(seed: int, salt: int) -> int:
     return mix64((seed ^ salt) & _MASK64)
 
 
-# The mix as uint64 array constants, built once: np.uint64(...) per call
-# costs more than the arithmetic on a short array.
-_U_GOLDEN = np.uint64(_GOLDEN)
-_U_MIX1 = np.uint64(_MIX1)
-_U_MIX2 = np.uint64(_MIX2)
-_U30, _U27, _U31, _U11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
+# The mix's constants as 0-d uint64 arrays, built once: a ufunc dispatches
+# faster on a 0-d array operand than on an np.uint64 scalar, and
+# np.uint64(...) per call costs more than the arithmetic on a short array.
+_U_GOLDEN = np.array(_GOLDEN, dtype=np.uint64)
+_U_MIX1 = np.array(_MIX1, dtype=np.uint64)
+_U_MIX2 = np.array(_MIX2, dtype=np.uint64)
+_U30, _U27, _U31, _U11 = (np.array(k, dtype=np.uint64) for k in (30, 27, 31, 11))
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -81,15 +87,15 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mixed_words(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Raw first words of the sub-streams start .. start+count-1 of seed.
+def _mixed_words(seed: int, count: int) -> np.ndarray:
+    """Raw first words of the sub-streams 0 .. count-1 of seed.
 
-    Word j equals RandomStream(derive_seed(seed, start + j)).next_u64(); the
-    loop is fused into uint64 array arithmetic (which wraps mod 2^64).
+    Word j equals RandomStream(derive_seed(seed, j)).next_u64(); the loop is
+    fused into uint64 array arithmetic (which wraps mod 2^64).
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    states = np.arange(start, start + count, dtype=np.uint64)
+    states = np.arange(count, dtype=np.uint64)
     states ^= np.uint64(seed & _MASK64)
     return _mix(_mix(states))
 
@@ -102,19 +108,27 @@ def bulk_uniforms(seed: int, count: int) -> np.ndarray:
     return (_mixed_words(seed, count) >> _U11).astype(np.float64) * _TO_UNIT
 
 
-def bernoulli_hits(seed: int, count: int, p: float, start: int = 0) -> np.ndarray:
-    """Bernoulli(p) outcomes of the sub-streams start .. start+count-1 of seed.
+def bernoulli_counts(seed: int, count: int, ps: Sequence[float]) -> Tuple[int, ...]:
+    """Bernoulli hit counts of len(ps) consecutive blocks of count sub-streams.
 
-    Element j is exactly ``bulk_uniforms(seed, start + count)[start + j] < p``,
-    compared on the raw words instead: with u = (z >> 11) * 2^-53 and
-    c = ceil(p * 2^53) (p * 2^53 is exact), u < p iff (z >> 11) < c iff
-    z < c << 11, so no uniform is ever converted to a double.
+    Block i is the sub-streams i*count .. (i+1)*count-1 of seed, and its
+    count is exactly ``count_nonzero(bulk_uniforms(seed, len(ps)*count)
+    [i*count:(i+1)*count] < ps[i])``, compared on the raw words instead:
+    with u = (z >> 11) * 2^-53 and c = ceil(p * 2^53) (p * 2^53 is exact),
+    u < p iff (z >> 11) < c iff z < c << 11, so no uniform is ever
+    converted to a double.  All blocks come from one pass of the mix.
     """
-    z = _mixed_words(seed, count, start)
-    if p >= 1.0:  # every u < 1 <= p; c << 11 would not fit in 64 bits
-        return np.ones(count, dtype=bool)
-    c = math.ceil(p * 2.0 ** 53) if p > 0.0 else 0
-    return z < np.uint64(c << 11)
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    z = _mixed_words(seed, count * len(ps))
+    hits = []
+    for i, p in enumerate(ps):
+        if p >= 1.0:  # every u < 1 <= p; c << 11 would not fit in 64 bits
+            hits.append(count)
+            continue
+        c = math.ceil(p * 2.0 ** 53) if p > 0.0 else 0
+        hits.append(int(np.count_nonzero(z[i * count:(i + 1) * count] < np.uint64(c << 11))))
+    return tuple(hits)
 
 
 # Fixed salts for the package's named sub-streams (arbitrary odd constants).

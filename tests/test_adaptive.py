@@ -83,18 +83,25 @@ def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
     assert np.polyfit(x, np.log(total), 1)[0] <= 1.1
 
 
+def _kernel_draws(monkeypatch):
+    """A one-element list that counts every arm draw the sign ladder makes,
+    count*len(ps) per ``rng.bernoulli_counts`` call."""
+    draws = [0]
+    counts = estimator.bernoulli_counts
+
+    def counted(seed, count, ps):
+        draws[0] += count * len(ps)
+        return counts(seed, count, ps)
+
+    monkeypatch.setattr(estimator, "bernoulli_counts", counted)
+    return draws
+
+
 def test_sampled_search_arm_draws_halved(monkeypatch):
     # the arm test sized on its 2*alpha_s independent draws, each ranging
     # over 1/alpha_s, needs half the draws of one sized on alpha_s pair
     # differences in [-1, 1]: the latter drew 700,342.33 per search here
-    draws = [0]
-    hits = estimator.bernoulli_hits
-
-    def counted(seed, count, p, start=0):
-        draws[0] += count
-        return hits(seed, count, p, start)
-
-    monkeypatch.setattr(estimator, "bernoulli_hits", counted)
+    draws = _kernel_draws(monkeypatch)
     size = 2**14
     for i in range(6):
         vals = np.random.default_rng([5, i]).random(size) * 1000.0
@@ -103,6 +110,7 @@ def test_sampled_search_arm_draws_halved(monkeypatch):
         mu_hat, _, _ = median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.01,
                                              mode="sampled", seed=i)
         assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, i
+    assert draws[0] > 0
     assert draws[0] / 6 <= 0.55 * 700342.33
 
 
@@ -110,14 +118,7 @@ def test_sampled_search_skips_rungs_the_bracket_ruled_out(monkeypatch):
     # the halved-draws searches again: a step that starts its ladder at the
     # rung its bracket's ends allow skips the top rung's draws, which a walk
     # from the top spent at every step (339,104.33 per search)
-    draws = [0]
-    hits = estimator.bernoulli_hits
-
-    def counted(seed, count, p, start=0):
-        draws[0] += count
-        return hits(seed, count, p, start)
-
-    monkeypatch.setattr(estimator, "bernoulli_hits", counted)
+    draws = _kernel_draws(monkeypatch)
     size = 2**14
     for i in range(6):
         vals = np.random.default_rng([5, i]).random(size) * 1000.0
@@ -125,6 +126,7 @@ def test_sampled_search_skips_rungs_the_bracket_ruled_out(monkeypatch):
         mu_hat, _, _ = median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.01,
                                              mode="sampled", seed=i)
         assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, i
+    assert draws[0] > 0
     assert draws[0] / 6 <= 0.8 * 339104.33
 
 
@@ -143,6 +145,7 @@ def test_sampled_search_arm_passes_sized_for_the_loop(monkeypatch):
         return arms(o, kappa, seed, scale)
 
     monkeypatch.setattr(estimator, "_arm_test", counted_arms)
+    drawn = _kernel_draws(monkeypatch)
     size = 2**14
     for i in range(6):
         vals = np.random.default_rng([5, i]).random(size) * 1000.0
@@ -152,6 +155,7 @@ def test_sampled_search_arm_passes_sized_for_the_loop(monkeypatch):
         assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, i
     assert cost["passes"] / 6 <= 0.5 * 1485031.67
     assert cost["draws"] / 6 <= 0.4 * 246803.67
+    assert drawn[0] == cost["draws"]  # the kernel draws what the designs size
 
 
 def _search_values(bits, kind, i):

@@ -27,7 +27,7 @@ from qmedian import (
 )
 from qmedian import driver
 from qmedian.checks import evolve, grid_oracle
-from qmedian.rng import SALT_SAMPLES, bernoulli_hits
+from qmedian.rng import SALT_SAMPLES
 from qmedian.statevector import sample, sample_many
 
 
@@ -156,7 +156,7 @@ def test_sampled_experiment_known_counts():
     assert res.f_hat == 0.09
     assert res.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
     # 9 hits among the plan's 100 draws from the sample sub-stream
-    hits = bernoulli_hits(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha, res.exact_p)
+    hits = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha) < res.exact_p
     assert hits.shape == (100,)
     assert int(hits.sum()) == 9 == res.f_hat * plan.alpha
 
@@ -186,7 +186,7 @@ def test_resampling_every_draw_changes_nothing():
         for j in range(plan.alpha)
     ]
     res = run_experiment(o, plan)
-    assert bernoulli_hits(draw_seed, plan.alpha, res.exact_p).tolist() == slow
+    assert (bulk_uniforms(draw_seed, plan.alpha) < res.exact_p).tolist() == slow
     assert res.f_hat == sum(slow) / plan.alpha
 
     for o in reference_oracles():

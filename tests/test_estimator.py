@@ -1,6 +1,7 @@
 """Fraction inversion, confidence intervals, and the full signed-imbalance
 estimate with its sign."""
 
+import hashlib
 import math
 from collections import Counter
 
@@ -518,6 +519,27 @@ def test_arm_design_table_is_pinned():
     assert table(0.01, 14) == [(1, 4583), (7, 572), (14, 590), (28, 600), (57, 585),
                                (89, 586)]
     assert table(0.1, 18) == [(1, 4583), (7, 572), (9, 550)]
+
+
+def test_sampled_outputs_are_pinned():
+    # a sha256 over sampled searches and estimates, so that a speed-up that
+    # means to keep every sampled output byte for byte can show it does;
+    # a change that means to move sampled output updates this digest
+    lines = []
+    for i in range(6):
+        d = dataset_from_values(np.random.default_rng([5, i]).random(2**14) * 1000.0)
+        lines.append(repr(median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.01,
+                                                mode="sampled", seed=i)))
+    d = dataset_from_values(np.arange(1024.0))
+    for mu in (400.0, 480.0, 500.0, 512.0, 530.0, 560.0):
+        for theta in (0.1, 0.01):
+            for seed in (0, 1):
+                lines.append(repr(eps_est(d, mu, theta=theta, mode="sampled", seed=seed)))
+    assert lines[:6] == ["(497.0703125, 10, 10)", "(494.140625, 9, 9)",
+                         "(505.37109375, 11, 11)", "(496.09375, 8, 8)",
+                         "(507.8125, 7, 7)", "(507.8125, 7, 7)"]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "6bc8027ffb60af78dc92b8a3cb26ba71d608ddb892ff075aa6957500fbf2bff0")
 
 
 def test_arm_ladder_leaves_a_balanced_split_undecided():

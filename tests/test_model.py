@@ -4,6 +4,7 @@ quantity, and the measured-fraction formula."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from qmedian import (
     post_shift,
     predicted_fraction,
 )
-from qmedian.model import TWO_SQRT2, _iterate_from_prepared
+from qmedian.model import TWO_SQRT2, _iterate_from_prepared, predicted_fractions
 
 
 def test_post_shift_pair():
@@ -121,6 +122,19 @@ def test_predicted_fraction_known_values():
     assert predicted_fraction(1.0, 3) == pytest.approx(1.0, rel=1e-14)
     assert predicted_fraction(-1.0, 3) == 0.0
     assert predicted_fraction(0.0, 5) == 0.0
+
+
+def test_predicted_fractions_match_the_scalar_form():
+    # the array form the sign-test design evaluates its grids with: the same
+    # closed form, within numpy's and the C library's rounding of sin, cos
+    # and arcsin
+    eps = np.concatenate([np.linspace(-0.99, 0.99, 2001), [0.0, -0.0, 1e-9, -1e-9]])
+    for beta in (0, 1, 7, 14, 57, 89, 300):
+        want = np.array([predicted_fraction(float(e), beta) for e in eps])
+        np.testing.assert_allclose(predicted_fractions(eps, beta), want,
+                                   rtol=1e-11, atol=1e-15)
+    with pytest.raises(ParameterError):
+        predicted_fractions(eps, -1)
 
 
 def test_branch_asymmetry_is_cubic_and_small():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmedian import RandomStream, bulk_uniforms, derive_seed, mix64
-from qmedian.rng import bernoulli_hits
+from qmedian.rng import bernoulli_counts
 
 
 def test_stream_seed0_known_words():
@@ -94,27 +94,37 @@ def _edge_probabilities(u):
     return ps
 
 
+def _block_counts(u, count, ps):
+    """Hits of block i, u[i*count:(i+1)*count] < ps[i], for every block."""
+    return tuple(int(np.count_nonzero(u[i * count:(i + 1) * count] < p))
+                 for i, p in enumerate(ps))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1),
        st.integers(min_value=1, max_value=300),
-       st.integers(min_value=0, max_value=5000),
-       st.floats(min_value=0.0, max_value=1.0))
-def test_bernoulli_hits_equal_uniforms_below_p(seed, count, start, p):
-    u = bulk_uniforms(seed, start + count)[start:]
-    for q in [p, *_edge_probabilities(u)]:
-        got = bernoulli_hits(seed, count, float(q), start)
-        assert got.dtype == np.bool_
-        assert got.tolist() == (u < q).tolist(), q
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3))
+def test_bernoulli_counts_equal_uniforms_below_p(seed, count, ps):
+    u = bulk_uniforms(seed, len(ps) * count)
+    for qs in [ps, *([float(q)] * len(ps) for q in _edge_probabilities(u))]:
+        got = bernoulli_counts(seed, count, qs)
+        assert all(type(hits) is int for hits in got)
+        assert got == _block_counts(u, count, qs), qs
 
 
-def test_bernoulli_hits_edges():
-    u = bulk_uniforms(11, 1000)
-    assert not bernoulli_hits(11, 1000, 0.0).any()
-    assert bernoulli_hits(11, 1000, 1.0).all()
-    assert bernoulli_hits(11, 0, 0.5).shape == (0,)
+def test_bernoulli_counts_edges():
+    u = bulk_uniforms(11, 3000)
+    assert bernoulli_counts(11, 1000, (0.0, 1.0, 0.0)) == (0, 1000, 0)
+    assert bernoulli_counts(11, 1000, (-0.5, 1.5)) == (0, 1000)
+    assert bernoulli_counts(11, 0, (0.5, 0.5)) == (0, 0)
+    assert bernoulli_counts(11, 1000, ()) == ()
     for k in (1, 2, 3, 1 << 20, (1 << 53) - 1):
         q = k * 2.0 ** -53
-        for r in (q, np.nextafter(q, np.inf), np.nextafter(q, -np.inf)):
-            assert bernoulli_hits(11, 1000, float(r)).tolist() == (u < r).tolist()
+        qs = [q, float(np.nextafter(q, np.inf)), float(np.nextafter(q, -np.inf))]
+        for shift in range(3):  # every block sees q and both its neighbours
+            rotated = qs[shift:] + qs[:shift]
+            assert bernoulli_counts(11, 1000, rotated) == _block_counts(u, 1000, rotated)
     with pytest.raises(ValueError):
-        bernoulli_hits(0, -1, 0.5)
+        bernoulli_counts(0, -1, (0.5,))
+    with pytest.raises(ValueError):
+        bernoulli_counts(0, -1, ())
