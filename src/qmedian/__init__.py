@@ -8,12 +8,8 @@ with confidence intervals; a threshold bisection on top of that estimates
 the median.  Everything is deterministic given a seed.
 """
 
-from .adaptive import (
-    bisection_steps,
-    median_search,
-    median_search_counted,
-)
-from .baseline import classical_estimate, classical_sample_budget
+from .adaptive import bisection_steps, median_search_counted
+from .baseline import classical_estimate
 from .checks import CheckResult, run_checks
 from .dataset import (
     Dataset,
@@ -46,7 +42,6 @@ from .errors import (
 )
 from .estimator import EstimateRecord, eps_est
 from .model import (
-    LoopAngles,
     TwoAmpState,
     conserved_quantity,
     k_closed_form,
@@ -84,7 +79,7 @@ __all__ = [
     "read_dataset", "dataset_to_text", "make_oracle", "oracle_from_mask",
     "rank_below", "synth_dataset",
     # analytic model
-    "TwoAmpState", "LoopAngles", "post_shift", "loop_step",
+    "TwoAmpState", "post_shift", "loop_step",
     "conserved_quantity", "k_closed_form", "l_closed_form",
     "k_small_eps_approx", "predicted_fraction",
     # driver
@@ -93,10 +88,9 @@ __all__ = [
     # estimation
     "EstimateRecord", "eps_est",
     # adaptive drivers
-    "median_search", "median_search_counted",
-    "bisection_steps",
+    "median_search_counted", "bisection_steps",
     # classical baseline
-    "classical_estimate", "classical_sample_budget",
+    "classical_estimate",
     # verification suite
     "CheckResult", "run_checks",
 ]

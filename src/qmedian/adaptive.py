@@ -59,8 +59,14 @@ def median_search_counted(
     mode: str = "exact",
     seed: int = 0,
 ) -> Tuple[float, int, int]:
-    """Returns (mu_hat, bisection steps run, comparisons made); the two
-    counts are equal, one comparison per step."""
+    """Median estimate: binary search on the threshold, one comparison per
+    step, to resolution delta.  Returns (mu_hat, bisection steps run,
+    comparisons made); the two counts are equal.
+
+    The count of values below mu_hat deviates from N/2 by at most
+    ACCEPT_FACTOR*eps_min*N/2 (sampled mode, with the arm test's
+    confidence) plus whatever lies inside the final delta-wide bracket.
+    """
     if not vmin < vmax:
         raise ParameterError(f"need min < max, got {vmin} >= {vmax}")
     if not delta > 0.0:
@@ -89,23 +95,3 @@ def median_search_counted(
             lower, rung_lower = mu, max(rung_lower, rung)
     return mu, steps, steps
 
-
-def median_search(
-    d: Dataset,
-    vmin: float,
-    vmax: float,
-    delta: float,
-    eps_min: float,
-    kappa: float = 3.0,
-    mode: str = "exact",
-    seed: int = 0,
-) -> float:
-    """Median estimate: binary search on the threshold, one comparison per
-    step (``median_search_counted``), to resolution delta.
-
-    The count of values below the result deviates from N/2 by at most
-    ACCEPT_FACTOR*eps_min*N/2 (sampled mode, with the arm test's
-    confidence) plus whatever lies inside the final delta-wide bracket.
-    """
-    mu, _, _ = median_search_counted(d, vmin, vmax, delta, eps_min, kappa, mode, seed)
-    return mu

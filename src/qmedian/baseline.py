@@ -10,7 +10,6 @@ measure.
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
@@ -42,10 +41,3 @@ def classical_estimate(o: ThresholdOracle, m: int, seed: int) -> Tuple[float, fl
     f_hat = hits / m
     return f_hat, 2.0 * f_hat - 1.0
 
-
-def classical_sample_budget(precision: float) -> int:
-    """Draws needed for a target absolute error in the imbalance:
-    ceil(1/precision^2)."""
-    if not (0.0 < precision <= 1.0):
-        raise ParameterError(f"precision must be in (0, 1], got {precision}")
-    return math.ceil(1.0 / (precision * precision) - 1e-9)

@@ -48,29 +48,18 @@ _HALF_PI = math.pi / 2
 
 @dataclass(frozen=True)
 class RunPlan:
-    """Parameters of one estimation run.
+    """Parameters of one experiment.
 
-    eps0: prior bound on the magnitude of the imbalance (0 < eps0 <= 0.1);
-    theta: relative precision target; kappa: confidence multiplier;
     alpha: number of measurement repetitions; beta: amplification loop
     repetitions; mode: "exact" or "sampled"; seed: 64-bit master seed.
     """
 
-    eps0: float
-    theta: float
-    kappa: float
     alpha: int
     beta: int
     mode: str
     seed: int
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps0 <= 0.1):
-            raise ParameterError(f"eps0 must be in (0, 0.1], got {self.eps0}")
-        if not self.theta > 0.0:
-            raise ParameterError(f"theta must be > 0, got {self.theta}")
-        if not self.kappa > 0.0:
-            raise ParameterError(f"kappa must be > 0, got {self.kappa}")
         if self.alpha < 1:
             raise ParameterError(f"alpha must be >= 1, got {self.alpha}")
         if self.beta < 1:
@@ -91,7 +80,6 @@ class ExperimentResult:
 
     f_hat: float
     exact_p: float
-    alpha: int
 
 
 def choose_beta(eps0: float) -> int:
@@ -154,7 +142,7 @@ def run_experiment(o: ThresholdOracle, plan: RunPlan) -> ExperimentResult:
     """
     exact_p = predicted_fraction(o.eps, plan.beta)
     if plan.mode == "exact":
-        return ExperimentResult(exact_p, exact_p, plan.alpha)
+        return ExperimentResult(exact_p, exact_p)
 
     hits, = bernoulli_counts(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha, (exact_p,))
-    return ExperimentResult(hits / plan.alpha, exact_p, plan.alpha)
+    return ExperimentResult(hits / plan.alpha, exact_p)

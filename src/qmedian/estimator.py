@@ -390,7 +390,9 @@ def eps_est(
     """
     beta = choose_beta(eps0)
     alpha = choose_alpha(theta)
-    plan = RunPlan(eps0, theta, kappa, alpha, beta, mode, seed)
+    if not kappa > 0.0:
+        raise ParameterError(f"kappa must be > 0, got {kappa}")
+    plan = RunPlan(alpha, beta, mode, seed)
     o = make_oracle(d, mu)
     res = run_experiment(o, plan)
     if mode == "exact":

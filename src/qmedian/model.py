@@ -12,7 +12,8 @@ applies the transfer
     k' = k(1 - 2 eps^2) + l(2 eps - 2 eps^2)
     l' = -k(2 eps + 2 eps^2) + l(1 - 2 eps^2)
 
-whose closed-form solution after r passes is, with phi and gamma below,
+whose closed-form solution after r passes is, with phi = 2 asin(eps) and
+gamma = sqrt((1-eps)/(1+eps)),
 
     k_r = gamma (1 + eps + i) sin(r phi) + eps cos(r phi)
     l_r = (1 + eps + i) cos(r phi) - (eps / gamma) sin(r phi)
@@ -39,32 +40,6 @@ class TwoAmpState:
     k: complex
     l: complex
     eps: float
-
-
-@dataclass(frozen=True)
-class LoopAngles:
-    """Rotation angle and amplitude ratio of the closed-form solution.
-
-    cos(phi) == 1 - 2 eps^2 with phi carrying the sign of eps, so that
-    gamma*sin(phi) == 2 eps - 2 eps^2 holds for both signs.  phi is
-    computed as 2 asin(eps), which is that angle without acos's
-    cancellation in 1 - 2 eps^2 at small |eps|;
-    gamma == sqrt((1-eps)/(1+eps)), defined as 1 at eps == 0 (limit value).
-    """
-
-    eps: float
-    phi: float
-    gamma: float
-
-    @classmethod
-    def from_eps(cls, eps: float) -> "LoopAngles":
-        if not (-1.0 <= eps <= 1.0):
-            raise ParameterError(f"eps must lie in [-1, 1], got {eps}")
-        if eps == 0.0:
-            return cls(0.0, 0.0, 1.0)
-        phi = 2.0 * math.asin(eps)
-        gamma = math.sqrt((1.0 - eps) / (1.0 + eps)) if eps != 1.0 else 0.0
-        return cls(eps, phi, gamma)
 
 
 def post_shift(eps: float) -> TwoAmpState:
@@ -95,6 +70,20 @@ def _iterate_from_prepared(eps: float, r: int) -> TwoAmpState:
     return s
 
 
+def _phi(eps: float) -> float:
+    """Rotation angle of the closed form, for |eps| < 1.
+
+    cos(phi) == 1 - 2 eps^2 with phi carrying the sign of eps, so that
+    gamma*sin(phi) == 2 eps - 2 eps^2 holds for both signs.  phi is
+    computed as 2 asin(eps), which is that angle without acos's
+    cancellation in 1 - 2 eps^2 at small |eps|, and is +0 at eps == -0.0
+    too, so that -0.0 gives the same amplitudes as 0.0.
+    """
+    if not (-1.0 <= eps <= 1.0):
+        raise ParameterError(f"eps must lie in [-1, 1], got {eps}")
+    return 2.0 * math.asin(eps) if eps != 0.0 else 0.0
+
+
 def k_closed_form(eps: float, r: int) -> complex:
     """k after r loop passes from the prepared state (closed form)."""
     if r < 0:
@@ -102,10 +91,9 @@ def k_closed_form(eps: float, r: int) -> complex:
     if abs(eps) == 1.0:
         # gamma degenerates (0 or infinity); the recurrence is exact here
         return _iterate_from_prepared(eps, r).k
-    ang = LoopAngles.from_eps(eps)
-    t = r * ang.phi
-    return (ang.gamma * complex(1.0 + eps, 1.0) * math.sin(t)
-            + eps * math.cos(t))
+    t = r * _phi(eps)
+    gamma = math.sqrt((1.0 - eps) / (1.0 + eps))
+    return gamma * complex(1.0 + eps, 1.0) * math.sin(t) + eps * math.cos(t)
 
 
 def l_closed_form(eps: float, r: int) -> complex:
@@ -114,14 +102,10 @@ def l_closed_form(eps: float, r: int) -> complex:
         raise ParameterError(f"repetition count must be >= 0, got {r}")
     if abs(eps) == 1.0:
         return _iterate_from_prepared(eps, r).l
-    ang = LoopAngles.from_eps(eps)
-    t = r * ang.phi
+    t = r * _phi(eps)
     # eps/gamma written as eps*sqrt((1+eps)/(1-eps)) stays finite for eps<1
-    eps_over_gamma = (
-        eps * math.sqrt((1.0 + eps) / (1.0 - eps)) if eps != 1.0 else math.inf
-    )
-    return (complex(1.0 + eps, 1.0) * math.cos(t)
-            - eps_over_gamma * math.sin(t))
+    eps_over_gamma = eps * math.sqrt((1.0 + eps) / (1.0 - eps))
+    return complex(1.0 + eps, 1.0) * math.cos(t) - eps_over_gamma * math.sin(t)
 
 
 def k_small_eps_approx(eps: float, r: int) -> float:

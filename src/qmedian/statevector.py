@@ -56,25 +56,13 @@ def _check_bits(n: int) -> None:
         raise ParameterError(f"bit count must be in [1, {MAX_BITS}], got {n}")
 
 
-def as_mask(n: int, mask) -> np.ndarray:
-    """Normalize a mask to a boolean array of length 2^n.
-
-    Accepts a boolean array of the right length or any sequence/set of
-    basis indices.  Out-of-range indices raise IndexError.
-    """
+def as_mask(n: int, mask: np.ndarray) -> np.ndarray:
+    """Check that mask is a boolean array of length 2^n and return it;
+    anything else raises IndexError."""
     size = 1 << n
-    arr = np.asarray(mask if not isinstance(mask, (set, frozenset)) else sorted(mask))
-    if arr.dtype == bool:
-        if arr.shape != (size,):
-            raise IndexError(f"boolean mask must have length {size}")
-        return arr
-    out = np.zeros(size, dtype=bool)
-    if arr.size:
-        idx = arr.astype(np.int64)
-        if idx.min() < 0 or idx.max() >= size:
-            raise IndexError("mask index out of range")
-        out[idx] = True
-    return out
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (size,)):
+        raise IndexError(f"mask must be a boolean array of length {size}")
+    return mask
 
 
 def uniform_state(n: int) -> StateVector:

@@ -23,7 +23,7 @@ from qmedian import (
     eps_est,
     k_closed_form,
     make_oracle,
-    median_search,
+    median_search_counted,
     predicted_fraction,
     rank_below,
     run_experiment,
@@ -142,7 +142,7 @@ def test_a08_sampled_fraction_inside_band_for_twenty_seeds():
     o = grid_oracle(10, 576)
     bound = 5.0 * math.sqrt(1.0 / 10000)
     for seed in range(20):
-        res = run_experiment(o, RunPlan(0.1, 0.01, 5.0, 10000, 1, "sampled", seed))
+        res = run_experiment(o, RunPlan(10000, 1, "sampled", seed))
         assert abs(res.f_hat - res.exact_p) <= bound, seed
 
 
@@ -186,8 +186,8 @@ def test_a10_median_bisection_rank_error_within_one_percent():
     assert np.unique(vals).size == size
     d = dataset_from_values(vals)
     vmin, vmax = float(vals.min()), float(vals.max())
-    mu_hat = median_search(d, vmin, vmax, (vmax - vmin) / 2.0 ** 20, 0.01,
-                           mode="exact", seed=0)
+    mu_hat = median_search_counted(d, vmin, vmax, (vmax - vmin) / 2.0 ** 20, 0.01,
+                                   mode="exact", seed=0)[0]
     assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2
     assert time.monotonic() - start < 120.0
 
@@ -200,8 +200,8 @@ def test_a10_sampled_median_bisection_rank_error_within_one_percent():
     vals = bulk_uniforms(7, size) * 1000.0
     d = dataset_from_values(vals)
     vmin, vmax = float(vals.min()), float(vals.max())
-    mu_hat = median_search(d, vmin, vmax, (vmax - vmin) / 2.0 ** 20, 0.01,
-                           mode="sampled", seed=0)
+    mu_hat = median_search_counted(d, vmin, vmax, (vmax - vmin) / 2.0 ** 20, 0.01,
+                                   mode="sampled", seed=0)[0]
     assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2
     assert time.monotonic() - start < 120.0
 

@@ -10,7 +10,6 @@ from qmedian import (
     dataset_from_values,
     derive_seed,
     estimator,
-    median_search,
     median_search_counted,
     rank_below,
     synth_dataset,
@@ -260,21 +259,20 @@ def test_median_search_integer_values():
     assert (mu_hat, steps, calls) == (16.46875, 5, 5)  # one comparison per step
     assert 15.5 <= mu_hat <= 16.5
     assert rank_below(d, mu_hat) in (16, 17)
-    assert median_search(d, 0.0, 31.0, 1.0, 0.01) == mu_hat
 
 
 def test_median_search_first_probe_balanced_goes_lower():
     # at the first midpoint 15.5 the split is exactly even, so the bracket
     # keeps the upper half
     d = dataset_from_values(np.arange(32.0))
-    mu_hat = median_search(d, 0.0, 31.0, 8.0, 0.01)
+    mu_hat = median_search_counted(d, 0.0, 31.0, 8.0, 0.01)[0]
     assert mu_hat > 15.5  # steps land above the balanced first midpoint
 
 
 def test_median_search_constant_dataset_converges_to_value():
     d = dataset_from_values(np.full(64, 7.0))
     for mode in ("exact", "sampled"):
-        mu_hat = median_search(d, 0.0, 20.0, 0.01, 0.01, mode=mode)
+        mu_hat = median_search_counted(d, 0.0, 20.0, 0.01, 0.01, mode=mode)[0]
         assert abs(mu_hat - 7.0) <= 0.01, mode
 
 
@@ -282,8 +280,8 @@ def test_median_search_rank_accuracy_random_data():
     vals = np.sort(np.abs(np.sin(np.arange(4096.0)))) * 100
     d = dataset_from_values(vals)
     span = float(vals.max() - vals.min())
-    mu_hat = median_search(d, float(vals.min()), float(vals.max()),
-                           span / 2**20, 0.01)
+    mu_hat = median_search_counted(d, float(vals.min()), float(vals.max()),
+                                   span / 2**20, 0.01)[0]
     assert abs(rank_below(d, mu_hat) - 2048) <= 0.01 * 4096 + 2
 
 
@@ -368,8 +366,8 @@ def test_median_search_sampled_low_outliers_keep_rank_bound():
         d = dataset_from_values(vals)
         vmin, vmax = float(vals.min()), float(vals.max())
         for seed in range(2):
-            mu_hat = median_search(d, vmin, vmax, (vmax - vmin) / 2**20, 0.01,
-                                   mode="sampled", seed=seed)
+            mu_hat = median_search_counted(d, vmin, vmax, (vmax - vmin) / 2**20, 0.01,
+                                           mode="sampled", seed=seed)[0]
             assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, (
                 outliers, seed)
 
@@ -383,15 +381,15 @@ def test_median_search_zero_steps_returns_midpoint():
 def test_median_search_validation():
     d = dataset_from_values(np.arange(32.0))
     with pytest.raises(ParameterError):
-        median_search(d, 5.0, 5.0, 1.0, 0.01)
+        median_search_counted(d, 5.0, 5.0, 1.0, 0.01)
     with pytest.raises(ParameterError):
-        median_search(d, 5.0, 1.0, 1.0, 0.01)
+        median_search_counted(d, 5.0, 1.0, 1.0, 0.01)
     with pytest.raises(ParameterError):
-        median_search(d, 0.0, 31.0, 0.0, 0.01)
+        median_search_counted(d, 0.0, 31.0, 0.0, 0.01)
 
 
 def test_median_search_deterministic():
     d = dataset_from_values(np.arange(256.0))
-    a = median_search(d, 0.0, 255.0, 0.5, 0.02, mode="sampled", seed=9)
-    b = median_search(d, 0.0, 255.0, 0.5, 0.02, mode="sampled", seed=9)
+    a = median_search_counted(d, 0.0, 255.0, 0.5, 0.02, mode="sampled", seed=9)[0]
+    b = median_search_counted(d, 0.0, 255.0, 0.5, 0.02, mode="sampled", seed=9)[0]
     assert a == b

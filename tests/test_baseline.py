@@ -15,7 +15,6 @@ from qmedian.rng import SALT_BASELINE, bulk_uniforms, derive_seed
 from qmedian import (
     ParameterError,
     classical_estimate,
-    classical_sample_budget,
     dataset_from_values,
     make_oracle,
 )
@@ -69,20 +68,6 @@ def test_sample_count_validation(o1024):
         classical_estimate(o1024, 0, 0)
     with pytest.raises(ParameterError):
         classical_estimate(o1024, -5, 0)
-
-
-def test_sample_budget_table():
-    assert classical_sample_budget(1.0) == 1
-    assert classical_sample_budget(0.5) == 4
-    assert classical_sample_budget(0.1) == 100
-    assert classical_sample_budget(0.03) == 1112
-    assert classical_sample_budget(0.01) == 10000
-
-
-def test_sample_budget_validation():
-    for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(ParameterError):
-            classical_sample_budget(bad)
 
 
 def test_blocked_draws_match_one_shot_reference(o1024):

@@ -120,7 +120,7 @@ def test_oracle_eps_sits_on_grid():
 
 
 def test_oracle_from_mask():
-    o = oracle_from_mask(3, [0, 1, 2])
+    o = oracle_from_mask(3, np.arange(8) < 3)
     assert o.n_below == 3
     assert o.eps == (3 - 5) / 8
     assert o.below_mask.tolist() == [True] * 3 + [False] * 5

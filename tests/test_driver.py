@@ -94,12 +94,9 @@ def test_choose_alpha_bounds():
 
 
 def test_run_plan_validation():
-    good = dict(eps0=0.1, theta=0.1, kappa=3.0, alpha=100, beta=1,
-                mode="exact", seed=0)
+    good = dict(alpha=100, beta=1, mode="exact", seed=0)
     RunPlan(**good)
-    for field, bad in [("eps0", 0.0), ("eps0", 0.2), ("theta", 0.0),
-                       ("kappa", -1.0), ("alpha", 0), ("beta", 0),
-                       ("mode", "weird")]:
+    for field, bad in [("alpha", 0), ("beta", 0), ("mode", "weird")]:
         with pytest.raises(ParameterError):
             RunPlan(**{**good, field: bad})
 
@@ -139,19 +136,18 @@ def test_amplification_loop_zero_passes_is_identity():
 
 def test_exact_experiment_reads_model_fraction():
     o = grid_oracle(10, 576)
-    plan = RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0)
+    plan = RunPlan(100, 1, "exact", 0)
     res = run_experiment(o, plan)
     assert res.f_hat == res.exact_p
     # no draw: the seed changes nothing
-    assert run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 9)) == res
-    assert res.alpha == 100
+    assert run_experiment(o, RunPlan(100, 1, "exact", 9)) == res
     assert abs(res.f_hat - predicted_fraction(0.125, 1)) < 1e-12
     assert res.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
 
 
 def test_sampled_experiment_known_counts():
     o = grid_oracle(10, 576)
-    plan = RunPlan(0.1, 0.1, 3.0, 100, 1, "sampled", 0)
+    plan = RunPlan(100, 1, "sampled", 0)
     res = run_experiment(o, plan)
     assert res.f_hat == 0.09
     assert res.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
@@ -163,11 +159,11 @@ def test_sampled_experiment_known_counts():
 
 def test_sampled_experiment_deterministic_and_seed_sensitive():
     o = grid_oracle(8, 144)
-    plan = RunPlan(0.1, 0.1, 3.0, 500, 1, "sampled", 7)
+    plan = RunPlan(500, 1, "sampled", 7)
     a = run_experiment(o, plan)
     b = run_experiment(o, plan)
     assert a == b
-    c = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 500, 1, "sampled", 8))
+    c = run_experiment(o, RunPlan(500, 1, "sampled", 8))
     assert c.exact_p == a.exact_p
     assert c.f_hat != a.f_hat
 
@@ -178,7 +174,7 @@ def test_resampling_every_draw_changes_nothing():
     # re-preparing the register per draw and bulk index sampling from one
     # evolved state equal the Bernoulli readout, draw for draw
     o = grid_oracle(6, 36)
-    plan = RunPlan(0.1, 0.1, 3.0, 64, 2, "sampled", 11)
+    plan = RunPlan(64, 2, "sampled", 11)
     draw_seed = derive_seed(plan.seed, SALT_SAMPLES)
     slow = [
         bool(o.below_mask[sample(amplification_loop(prepare(o), o, plan.beta),
@@ -192,7 +188,7 @@ def test_resampling_every_draw_changes_nothing():
     for o in reference_oracles():
         for p in evolve(o, 20):
             if p.r in (1, 5, 20):
-                plan = RunPlan(0.1, 0.1, 3.0, 256, p.r, "sampled", p.r)
+                plan = RunPlan(256, p.r, "sampled", p.r)
                 uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
                 want = o.below_mask[sample_many(p.state, uniforms)]
                 res = run_experiment(o, plan)
@@ -208,7 +204,7 @@ def test_sampled_outcomes_ignore_partition_order():
     shuffled = grid_oracle(n, n_below, seed=5)
     assert not np.array_equal(shuffled.below_mask, head.below_mask)
     for beta in (1, 3, 7):
-        plan = RunPlan(0.1, 0.1, 3.0, 500, beta, "sampled", 2)
+        plan = RunPlan(500, beta, "sampled", 2)
         want = run_experiment(head, plan)
         got = run_experiment(shuffled, plan)
         uniforms = bulk_uniforms(derive_seed(plan.seed, SALT_SAMPLES), plan.alpha)
@@ -223,9 +219,9 @@ def test_run_experiment_runs_no_register_transform(monkeypatch):
     for name in ("uniform_state", "conditional_phase", "diffusion", "shift"):
         monkeypatch.setattr(driver, name, refuse)
     o = grid_oracle(10, 576)
-    exact = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0))
+    exact = run_experiment(o, RunPlan(100, 1, "exact", 0))
     assert exact.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
-    sampled = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "sampled", 0))
+    sampled = run_experiment(o, RunPlan(100, 1, "sampled", 0))
     assert sampled.f_hat == 0.09
 
 
@@ -236,9 +232,9 @@ def test_experiment_builds_no_register(monkeypatch):
     for name in ("StateVector", "probability_of", "sample_many", "sample"):
         monkeypatch.setattr(driver, name, refuse)
     o = grid_oracle(10, 576)
-    exact = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0))
+    exact = run_experiment(o, RunPlan(100, 1, "exact", 0))
     assert exact.exact_p == pytest.approx(26937 / 262144, abs=1e-13)
-    sampled = run_experiment(o, RunPlan(0.1, 0.1, 3.0, 100, 1, "sampled", 0))
+    sampled = run_experiment(o, RunPlan(100, 1, "sampled", 0))
     assert sampled.exact_p == exact.exact_p
     assert sampled.f_hat == 0.09
 
@@ -248,7 +244,7 @@ def test_experiment_exact_p_matches_evolved_reference():
         for p in evolve(o, 100):
             if p.r in (1, 5, 20, 36, 100):
                 for mode in ("exact", "sampled"):
-                    plan = RunPlan(0.1, 0.1, 3.0, 8, p.r, mode, 0)
+                    plan = RunPlan(8, p.r, mode, 0)
                     assert abs(run_experiment(o, plan).exact_p - p.p) < 1e-13
 
 
@@ -284,7 +280,7 @@ def test_sampled_estimate_at_max_bits_fits_in_768_mib():
 
 def test_sampled_fraction_concentrates_near_exact():
     o = grid_oracle(10, 576)
-    plan = RunPlan(0.1, 0.01, 5.0, 10000, 1, "sampled", 3)
+    plan = RunPlan(10000, 1, "sampled", 3)
     res = run_experiment(o, plan)
     assert abs(res.f_hat - res.exact_p) <= 5.0 * math.sqrt(1.0 / 10000)
 
@@ -292,6 +288,6 @@ def test_sampled_fraction_concentrates_near_exact():
 def test_run_experiment_with_real_dataset_oracle():
     d = dataset_from_values(np.arange(1024.0))
     o = make_oracle(d, 575.5)
-    plan = RunPlan(0.1, 0.1, 3.0, 100, 1, "exact", 0)
+    plan = RunPlan(100, 1, "exact", 0)
     assert run_experiment(o, plan).exact_p == pytest.approx(
         26937 / 262144, abs=1e-13)

@@ -12,13 +12,18 @@ from qmedian import estimator
 from qmedian import (
     ParameterError,
     dataset_from_values,
+    dataset_to_text,
     eps_est,
+    k_closed_form,
+    l_closed_form,
     make_oracle,
     median_search_counted,
     predicted_fraction,
     synth_dataset,
 )
 from qmedian.checks import evolve, grid_oracle
+from qmedian.cli import main
+from qmedian.driver import MODES
 from qmedian.estimator import _arm_design, _fit
 
 
@@ -249,6 +254,18 @@ def test_estimate_mu_below_everything(d32):
     assert rec.verdict == "eps_exceeds_eps0"
     assert rec.sign == -1
     assert rec.eps_hat == -0.1
+
+
+def test_estimate_rejects_a_non_positive_kappa(d32, tmp_path, capsys):
+    for mode in MODES:
+        for kappa in (0.0, -1.0, math.nan):
+            with pytest.raises(ParameterError, match="^kappa must be > 0, got "):
+                eps_est(d32, 17.0, kappa=kappa, mode=mode)
+    path = tmp_path / "data.txt"
+    path.write_text(dataset_to_text(d32))
+    assert main(["estimate", "--data", str(path), "--mu", "17", "--kappa", "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: kappa must be > 0, got 0.0\n")
 
 
 def test_estimate_detects_aliased_extreme_imbalance(d1024):
@@ -540,6 +557,28 @@ def test_sampled_outputs_are_pinned():
                          "(507.8125, 7, 7)", "(507.8125, 7, 7)"]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "6bc8027ffb60af78dc92b8a3cb26ba71d608ddb892ff075aa6957500fbf2bff0")
+
+
+def test_exact_outputs_are_pinned():
+    # a sha256 over exact searches, exact estimates and the closed forms, so
+    # that a change that means to keep every exact output byte for byte can
+    # show it does; -0.0 pins the closed forms' +0 results at a signed zero
+    lines = []
+    for i in range(6):
+        d = dataset_from_values(np.random.default_rng([5, i]).random(2**14) * 1000.0)
+        lines.append(repr(median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.01)))
+    d = dataset_from_values(np.arange(1024.0))
+    for mu in (400.0, 480.0, 500.0, 512.0, 530.0, 560.0):
+        for theta in (0.1, 0.01):
+            lines.append(repr(eps_est(d, mu, theta=theta)))
+    for eps in (-1.0, -0.5, -0.0, 0.0, 1e-9, 0.0625, 1.0):
+        for r in (0, 1, 7, 57):
+            lines.append(repr((k_closed_form(eps, r), l_closed_form(eps, r),
+                               predicted_fraction(eps, r))))
+    assert lines[:2] == ["(497.35546112060547, 20, 20)", "(493.4968948364258, 20, 20)"]
+    assert lines[26] == "(0j, (1+1j), 0.0)"  # eps = -0.0, r = 0
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "0b5000f9f840ecee9963e233d9658e6ba2f297f19d56fb948f405c8e1f07e79e")
 
 
 def test_arm_ladder_leaves_a_balanced_split_undecided():

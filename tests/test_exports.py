@@ -74,3 +74,12 @@ def test_every_definition_is_used():
         read.update(_reads(tree))
     unused = {name: sorted(set(_definitions(tree)) - read) for name, tree in trees.items()}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_every_public_name_has_a_package_reader():
+    # a name in __all__ that only the tests read is surface to delete
+    read = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name != "__init__.py":
+            read.update(_reads(ast.parse(path.read_text())))
+    assert sorted(set(qmedian.__all__) - read - {"__version__"}) == []

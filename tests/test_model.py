@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmedian import (
-    LoopAngles,
     ParameterError,
     TwoAmpState,
     conserved_quantity,
@@ -57,19 +56,6 @@ def test_conserved_quantity_starts_at_two_and_stays():
             assert conserved_quantity(s) == pytest.approx(2.0, abs=1e-13)
 
 
-def test_loop_angles():
-    ang = LoopAngles.from_eps(0.125)
-    assert math.cos(ang.phi) == pytest.approx(1 - 2 * 0.125**2, abs=1e-15)
-    assert ang.phi > 0
-    assert ang.gamma == pytest.approx(math.sqrt(0.875 / 1.125), rel=1e-15)
-    neg = LoopAngles.from_eps(-0.125)
-    assert neg.phi == -ang.phi
-    zero = LoopAngles.from_eps(0.0)
-    assert (zero.phi, zero.gamma) == (0.0, 1.0)
-    with pytest.raises(ParameterError):
-        LoopAngles.from_eps(2.0)
-
-
 def test_closed_form_matches_recurrence():
     worst = 0.0
     for j in (1, 2, 5, 16, 64, 100, 128):
@@ -88,6 +74,8 @@ def test_closed_form_at_zero_imbalance():
     for r in (0, 1, 7, 1000):
         assert k_closed_form(0.0, r) == 0j
         assert l_closed_form(0.0, r) == complex(1.0, 1.0)
+        # a signed zero gives the same +0 parts, not (-0-0j)
+        assert repr(k_closed_form(-0.0, r)) == "0j"
 
 
 def test_closed_form_at_full_imbalance():
@@ -106,6 +94,13 @@ def test_closed_form_rejects_negative_step_count():
         l_closed_form(0.1, -1)
     with pytest.raises(ParameterError):
         predicted_fraction(0.1, -1)
+
+
+def test_closed_form_rejects_eps_outside_unit_interval():
+    for eps in (2.0, -1.5, math.nan):
+        for f in (k_closed_form, l_closed_form, predicted_fraction):
+            with pytest.raises(ParameterError, match="eps must lie in"):
+                f(eps, 1)
 
 
 def test_predicted_fraction_known_values():

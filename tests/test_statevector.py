@@ -64,21 +64,25 @@ def test_copy_is_independent():
 
 # ------------------------------------------------------------ masks
 
-def test_as_mask_accepts_bool_array_indices_and_sets():
-    want = [True, False, True, False]
-    assert as_mask(2, np.array(want)).tolist() == want
-    assert as_mask(2, [0, 2]).tolist() == want
-    assert as_mask(2, {0, 2}).tolist() == want
-    assert as_mask(2, []).tolist() == [False] * 4
+def _mask(n, *indices):
+    """Boolean mask of length 2^n, True at the given basis indices."""
+    mask = np.zeros(1 << n, dtype=bool)
+    mask[list(indices)] = True
+    return mask
+
+
+def test_as_mask_accepts_a_bool_array():
+    mask = _mask(2, 0, 2)
+    assert as_mask(2, mask) is mask
 
 
 def test_as_mask_rejects_bad_input():
-    with pytest.raises(IndexError):
-        as_mask(2, np.array([True, False]))  # wrong length
-    with pytest.raises(IndexError):
-        as_mask(2, [4])
-    with pytest.raises(IndexError):
-        as_mask(2, [-1])
+    for bad in (np.array([True, False]),  # wrong length
+                [0, 2], {0, 2}, [], [4], [-1],  # index lists and sets
+                [True, False, True, False],  # a list, not an array
+                np.array([1, 0, 1, 0])):  # not boolean
+        with pytest.raises(IndexError):
+            as_mask(2, bad)
 
 
 # ------------------------------------------------------------ transforms
@@ -113,7 +117,7 @@ def test_dense_f_first_row_and_sign_pattern():
 def test_conditional_phase_pi_negates_masked():
     s = uniform_state(3)
     before = s.amps.copy()
-    conditional_phase(s, [1, 5], math.pi)
+    conditional_phase(s, _mask(3, 1, 5), math.pi)
     assert s.amps[1] == -before[1]
     assert s.amps[5] == -before[5]
     assert np.all(s.amps[[0, 2, 3, 4, 6, 7]] == before[[0, 2, 3, 4, 6, 7]])
@@ -122,14 +126,14 @@ def test_conditional_phase_pi_negates_masked():
 def test_conditional_phase_half_pi_multiplies_by_i():
     s = uniform_state(2)
     a0 = s.amps[2]
-    conditional_phase(s, [2], math.pi / 2)
+    conditional_phase(s, _mask(2, 2), math.pi / 2)
     assert s.amps[2] == a0 * 1j
 
 
 def test_conditional_phase_general_angle():
     s = random_state(3, 5)
     a0 = s.amps.copy()
-    conditional_phase(s, [0, 7], 0.7)
+    conditional_phase(s, _mask(3, 0, 7), 0.7)
     w = complex(math.cos(0.7), math.sin(0.7))
     assert abs(s.amps[0] - a0[0] * w) < 1e-16
     assert abs(s.amps[7] - a0[7] * w) < 1e-16
@@ -138,7 +142,7 @@ def test_conditional_phase_general_angle():
 def test_conditional_phase_zero_angle_is_identity():
     s = random_state(3, 6)
     a0 = s.amps.copy()
-    conditional_phase(s, [1, 2], 0.0)
+    conditional_phase(s, _mask(3, 1, 2), 0.0)
     assert np.all(s.amps == a0)
 
 
@@ -182,7 +186,7 @@ def test_transforms_mutate_in_place_and_return_state():
     assert walsh_hadamard(s) is s
     assert diffusion(s) is s
     assert shift(s) is s
-    assert conditional_phase(s, [0], 1.0) is s
+    assert conditional_phase(s, _mask(2, 0), 1.0) is s
 
 
 def test_dense_size_cap():
@@ -205,9 +209,9 @@ def test_all_transforms_preserve_norm(n, seed, angle):
 
 def test_probability_of_sums_masked_weight():
     s = StateVector(1, np.array([0.6, 0.8j], dtype=np.complex128))
-    assert probability_of(s, [0]) == pytest.approx(0.36, abs=1e-15)
-    assert probability_of(s, [1]) == pytest.approx(0.64, abs=1e-15)
-    assert probability_of(s, [0, 1]) == pytest.approx(1.0, abs=1e-15)
+    assert probability_of(s, _mask(1, 0)) == pytest.approx(0.36, abs=1e-15)
+    assert probability_of(s, _mask(1, 1)) == pytest.approx(0.64, abs=1e-15)
+    assert probability_of(s, _mask(1, 0, 1)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sample_lands_on_support():
