@@ -13,6 +13,7 @@ always lies on the grid {2j/N - 1 : j = 0..N}.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,36 +72,68 @@ def dataset_from_values(values) -> Dataset:
     return Dataset(n, arr)
 
 
-def load_dataset(text: str) -> Dataset:
-    """Parse newline-delimited decimals (one value per line).
+# characters parsed at a time: the loader holds one block's line strings,
+# not one string per line of the whole file
+_BLOCK = 1 << 18
 
-    The fast path parses every line at once; blank or malformed lines
-    (and empty input) fall back to the line-by-line loop, which skips the
-    blanks and names the first bad line.
+
+def _whole_lines(chunks):
+    """Re-cut text chunks after their last "\\n", so every block holds whole
+    lines and the blocks' ``splitlines()`` are the text's."""
+    rest = []  # a list, so a line longer than a block is copied once
+    for chunk in chunks:
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            rest.append(chunk[:cut])
+            yield "".join(rest)
+            rest = []
+        rest.append(chunk[cut:])
+    yield "".join(rest)
+
+
+def load_dataset(text: str | Iterable[str]) -> Dataset:
+    """Parse newline-delimited decimals (one value per line), given as one
+    string or as an iterable of string chunks (a file read block by block).
+
+    The text is cut into blocks of whole lines.  Each block parses at once;
+    a block with a blank or malformed line runs the line-by-line loop
+    instead, which skips the blanks and names the first bad line by its
+    number in the whole text.
     """
-    try:
-        arr = np.fromiter(map(float, text.splitlines()), np.float64)
-    except ValueError:
-        arr = np.empty(0)
-    if arr.size:
-        return dataset_from_values(arr)
-    values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    chunks = text
+    if isinstance(text, str):
+        chunks = (text[i:i + _BLOCK] for i in range(0, len(text), _BLOCK))
+    pieces = []
+    lineno = 0
+    for block in _whole_lines(chunks):
+        lines = block.splitlines()
         try:
-            values.append(float(line))
+            pieces.append(np.fromiter(map(float, lines), np.float64, len(lines)))
         except ValueError:
-            raise DatasetParseError(f"line {lineno}: not a decimal: {line!r}") from None
-    if not values:
+            values = []
+            for i, raw in enumerate(lines, start=lineno + 1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise DatasetParseError(f"line {i}: not a decimal: {line!r}") from None
+            pieces.append(np.array(values, dtype=np.float64))
+        lineno += len(lines)
+    arr = np.concatenate(pieces)
+    if not arr.size:
         raise DatasetSizeError("dataset is empty")
-    return dataset_from_values(values)
+    return dataset_from_values(arr)
 
 
 def read_dataset(path) -> Dataset:
+    """``load_dataset`` on a UTF-8 file, read one block at a time."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_dataset(fh.read())
+        try:
+            return load_dataset(iter(lambda: fh.read(_BLOCK), ""))
+        except UnicodeDecodeError:
+            raise DatasetParseError(f"{path}: not UTF-8 text") from None
 
 
 def dataset_to_text(d: Dataset) -> str:

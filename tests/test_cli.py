@@ -4,12 +4,15 @@ import importlib.resources
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import qmedian
 from qmedian import dataset_to_text, dataset_from_values, load_dataset
 from qmedian.cli import main
 
@@ -108,6 +111,21 @@ def test_estimate_missing_file(tmp_path, capsys):
     assert main(["estimate", "--data", str(tmp_path / "nope.txt"),
                  "--mu", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_data_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "f"
+    path.write_bytes(b"\xff\xfe1.5\n")
+    for argv in (["estimate", "--mu", "0"], ["median"], ["baseline", "--mu", "0", "--samples", "10"]):
+        assert main([*argv, "--data", str(path)]) == 2, argv
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+    # as a program: exit 2 and one error line, no traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qmedian.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmedian.cli", "estimate", "--data", str(path), "--mu", "0"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"error: {path}: not UTF-8 text\n")
 
 
 def test_estimate_bad_eps0(data32, capsys):

@@ -1,10 +1,12 @@
 """Dataset parsing, threshold partitions, and synthetic generation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qmedian import dataset as dataset_module
 from qmedian import (
     DatasetParseError,
     DatasetSizeError,
@@ -85,6 +87,88 @@ def test_text_round_trip_preserves_doubles(tmp_path):
     p.write_text(dataset_to_text(d))
     back = read_dataset(p)
     assert back.values.tolist() == d.values.tolist()
+
+
+def _outcome(parse, source):
+    """The parsed values' bits, or the error's type and message."""
+    try:
+        return parse(source).values.view(np.uint64).tolist()
+    except (DatasetParseError, DatasetSizeError) as e:
+        return type(e), str(e)
+
+
+# Each text runs through one block (the default size) as the reference,
+# then through blocks of a few characters: line endings, a line across a
+# block edge, an edge exactly after a "\n", separators other than "\n",
+# and errors that must name the line's number in the whole text.
+BLOCK_TEXTS = [
+    "1.25\n-3.5\n12345.678\n0.1\n5e-324\n-0\n1e300\n-0.06600880000000008\n",
+    "1234567\n89\n1234567\n89\n",  # an 8-character block ends at its "\n"
+    "1.5\r\n-2\r\n3e2\r\n0.004",  # CRLF, and no newline after the last line
+    "1.5\n-2\n3e2\n0.004",
+    "1\r2\r3\r4\r",
+    "1\x0c2\n3\n4\n",  # \x0c splits a line, as splitlines() does
+    "1\n2\n3\n4\n5\n6\n\n7\n  \n8\n",  # blanks in a later block
+    "1\n2\n3\n4\n5\n6\n7\nbogus\n",
+    "1\n2\n3\n4\n5\n6\n\n7\n1 2\n8\n",
+    "1\n2\n3\n4\n5\n6\n7\n8\x0c9\n",  # 9 values: a size error
+    "1\n2\n3\ninf\n",
+    "",
+    "\n \n\t\n",
+    "   ",
+]
+
+
+@pytest.mark.parametrize("text", BLOCK_TEXTS)
+def test_block_parse_matches_one_block(text, tmp_path, monkeypatch):
+    path = tmp_path / "d.txt"
+    path.write_bytes(text.encode("utf-8"))
+    want = _outcome(load_dataset, text)
+    for block in (1, 2, 3, 5, 8):
+        monkeypatch.setattr(dataset_module, "_BLOCK", block)
+        assert _outcome(load_dataset, text) == want, block
+        assert _outcome(read_dataset, path) == want, block
+
+
+def test_block_parse_reports_the_global_line_number(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset_module, "_BLOCK", 4)
+    text = "1\n2\n3\n\n4\n5\n6\nbogus\n"
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    for parse, source in ((load_dataset, text), (read_dataset, path)):
+        with pytest.raises(DatasetParseError, match=r"^line 8: not a decimal: 'bogus'$"):
+            parse(source)
+    path.write_text(" \n\n\t")
+    for parse, source in ((load_dataset, ""), (load_dataset, " \n\n\t"), (read_dataset, path)):
+        with pytest.raises(DatasetSizeError, match="^dataset is empty$"):
+            parse(source)
+
+
+def test_read_dataset_rejects_text_that_is_not_utf8(tmp_path, monkeypatch):
+    path = tmp_path / "d.txt"
+    path.write_bytes(b"\xff\xfe1.5\n")
+    with pytest.raises(DatasetParseError, match="not UTF-8 text"):
+        read_dataset(path)
+    # the bad byte sits blocks past the start
+    monkeypatch.setattr(dataset_module, "_BLOCK", 2)
+    path.write_bytes(b"1\n2\n3\n4\n5\n\xc3(\n")
+    with pytest.raises(DatasetParseError, match="not UTF-8 text"):
+        read_dataset(path)
+
+
+def test_read_dataset_peak_memory_is_a_few_blocks(tmp_path):
+    d, _ = synth_dataset(18, 0.03, 0.0, 7)
+    path = tmp_path / "d.txt"
+    path.write_text(dataset_to_text(d))
+    tracemalloc.start()
+    try:
+        back = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values.view(np.uint64), d.values.view(np.uint64))
+    # the values take 2 MiB; parsing all of the file's lines at once peaks near 26 MiB
+    assert peak < 8 * 2**20, peak
 
 
 def test_make_oracle_counts_and_exact_eps():
