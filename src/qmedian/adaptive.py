@@ -20,9 +20,10 @@ reaches before it runs the smaller of the two ends' rungs, so the step
 starts there.  vmin and vmax carry rung 0.  An end that moves inward keeps
 the larger of its old rung and the one that moved it: the new end's eps has
 the decided sign and lies between 0 and the old end's.  Each bound holds
-with the test's confidence, 1 - 2*exp(-2*kappa^2), the argument by which a
-finer rung trusts its sign within one walk, and every rung that runs draws
-from its own sub-stream exactly as in a walk from the top.
+with the test's confidence, 1 - 2*exp(-2*KAPPA^2) (``estimator.KAPPA``),
+the argument by which a finer rung trusts its sign within one walk, and
+every rung that runs draws from its own sub-stream exactly as in a walk
+from the top.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ def median_search_counted(
     vmax: float,
     delta: float,
     eps_min: float,
-    kappa: float = 3.0,
     mode: str = "exact",
     seed: int = 0,
 ) -> Tuple[float, int, int]:
@@ -74,8 +74,6 @@ def median_search_counted(
     # below 0.1 the stop rule keeps mu within 0.01*N ranks of the median
     if not 0.0 < eps_min < 0.1:
         raise ParameterError(f"eps_min must be in (0, 0.1), got {eps_min}")
-    if not kappa > 0.0:
-        raise ParameterError(f"kappa must be > 0, got {kappa}")
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     lower, upper = float(vmin), float(vmax)
@@ -84,7 +82,7 @@ def median_search_counted(
     steps = 0
     for step in range(bisection_steps(vmax - vmin, delta)):
         mu = 0.5 * (lower + upper)
-        below, rung = more_than_half_below(d, mu, eps_min, kappa, mode, derive_seed(seed, step),
+        below, rung = more_than_half_below(d, mu, eps_min, mode, derive_seed(seed, step),
                                            min(rung_lower, rung_upper))
         steps += 1
         if below is None:

@@ -187,7 +187,7 @@ def _schedule(n: int, eps: float) -> Tuple[float, float]:
     return conservation, closed_form
 
 
-def run_checks(n: int, seed: int = 1) -> List[CheckResult]:
+def run_checks(n: int, seed: int) -> List[CheckResult]:
     """The full suite at register size n.  Raises on an invalid n; numeric
     failures are reported through the results, not raised."""
     _check_bits(n)

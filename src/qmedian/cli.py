@@ -139,7 +139,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mu", type=float, required=True, help="threshold")
     p.add_argument("--eps0", type=float, default=0.1, help="prior magnitude bound (default 0.1)")
     p.add_argument("--theta", type=float, default=0.1, help="relative precision target (default 0.1)")
-    p.add_argument("--kappa", type=float, default=3.0, help="confidence multiplier (default 3)")
     _add_mode(p)
     _add_seed(p)
     p.set_defaults(func=cmd_estimate)
@@ -154,7 +153,6 @@ def build_parser() -> _Parser:
                    help="bracket width to stop at (default: span/2^20)")
     p.add_argument("--eps-min", type=float, default=0.01, dest="eps_min",
                    help="last rung of the sampled sign ladder (default 0.01)")
-    p.add_argument("--kappa", type=float, default=3.0)
     _add_mode(p)
     _add_seed(p)
     p.set_defaults(func=cmd_median)
@@ -195,10 +193,7 @@ def cmd_gen(ns) -> int:
 
 def cmd_estimate(ns) -> int:
     d = read_dataset(ns.data)
-    rec = eps_est(
-        d, ns.mu, eps0=ns.eps0, theta=ns.theta, kappa=ns.kappa,
-        mode=ns.mode, seed=ns.seed,
-    )
+    rec = eps_est(d, ns.mu, eps0=ns.eps0, theta=ns.theta, mode=ns.mode, seed=ns.seed)
     sys.stdout.write(_json_line(_record_dict(rec)))
     return 0
 
@@ -209,8 +204,7 @@ def cmd_median(ns) -> int:
     vmax = float(d.values.max()) if ns.vmax is None else ns.vmax
     delta = (vmax - vmin) / 2.0 ** 20 if ns.resolution is None else ns.resolution
     mu_hat, steps, calls = median_search_counted(
-        d, vmin, vmax, delta, ns.eps_min, kappa=ns.kappa,
-        mode=ns.mode, seed=ns.seed,
+        d, vmin, vmax, delta, ns.eps_min, mode=ns.mode, seed=ns.seed,
     )
     sys.stderr.write(
         "note: each bisection step asks whether more than half of the values "

@@ -38,7 +38,6 @@ class ThresholdOracle:
     """The below/above partition of a dataset at threshold mu."""
 
     n: int
-    mu: float
     below_mask: np.ndarray = field(repr=False)  # bool, length 2^n
     n_below: int
     n_above: int
@@ -143,21 +142,18 @@ def dataset_to_text(d: Dataset) -> str:
 def make_oracle(d: Dataset, mu: float) -> ThresholdOracle:
     if not np.isfinite(mu):
         raise ParameterError(f"threshold must be finite, got {mu}")
-    return oracle_from_mask(d.n, d.values < mu, mu)
+    return oracle_from_mask(d.n, d.values < mu)
 
 
-def oracle_from_mask(n: int, below_mask, mu: float = 0.0) -> ThresholdOracle:
-    """Oracle defined directly by its below set (no backing values).
-
-    Useful for exercising the register on a chosen partition; mu is carried
-    for bookkeeping only.
-    """
+def oracle_from_mask(n: int, below_mask) -> ThresholdOracle:
+    """Oracle defined directly by its below set (no backing values), for
+    exercising the register on a chosen partition."""
     below = as_mask(n, below_mask)
     size = 1 << n
     n_below = int(np.count_nonzero(below))
     n_above = size - n_below
     eps = (n_below - n_above) / size
-    return ThresholdOracle(n, float(mu), below, n_below, n_above, eps)
+    return ThresholdOracle(n, below, n_below, n_above, eps)
 
 
 def rank_below(d: Dataset, mu: float) -> int:

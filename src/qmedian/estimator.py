@@ -15,7 +15,7 @@ magnitude only to leading order, so estimation proceeds in two steps:
    draw, so the difference is a mean of alpha_s independent pair
    differences, and alpha_s is the fewest pairs whose Chernoff bound puts
    both a wrong sign and a miss at |eps| >= ACCEPT_FACTOR*delta at
-   exp(-2*kappa^2) or below.  The pairs form a ladder, walked down until
+   exp(-2*KAPPA^2) or below.  The pairs form a ladder, walked down until
    one decides: delta = 1/4, 1/8, ... while above eps0, then eps0.  The top
    pair, at delta = 1/4 and one pass, keeps the right sign over all of
    [-1, 1].  A rung below it runs only after the coarser one, at no more
@@ -31,7 +31,7 @@ magnitude only to leading order, so estimation proceeds in two steps:
 2. fit the magnitude once, on the sign's branch m -> f(sign*m, beta) (the
    positive one when the sign is undecided), by a bracketed secant
    (Illinois) iteration, with an interval from the Hoeffding band
-   f_hat +- kappa*sqrt(1/alpha).  Fitting on the sign's own branch removes
+   f_hat +- KAPPA*sqrt(1/alpha).  Fitting on the sign's own branch removes
    the small odd-order asymmetry between f(+eps) and f(-eps).  Both
    branches are monotone on the same bracket [0, eps0], and a fraction at
    or above the branch's top fits to eps0: sampling noise can put a
@@ -67,6 +67,10 @@ from .rng import SALT_ARMS, bernoulli_counts, derive_seed
 
 BRACKET_TOL = 1e-12
 
+# Confidence multiplier of every sampled claim, fixed: each holds with
+# probability 1 - 2*exp(-2*KAPPA^2) = 1 - 2*exp(-18) ~= 1 - 3.0e-8.
+KAPPA = 3.0
+
 # Forgives rounding at the very top of a bracket; a genuinely out-of-range
 # fraction overshoots by orders of magnitude more.
 _TOP_TOL = 1e-9
@@ -99,6 +103,7 @@ class EstimateRecord:
     (ci_lo, ci_hi) bound the magnitude.  verdict is "ok", or
     "eps_exceeds_eps0" when the imbalance lies outside the prior bound (then
     eps_hat is the signed prior bound and the interval is (eps0, 1.0)).
+    kappa is always ``KAPPA``; the estimate schema requires the field.
     """
 
     eps_hat: float
@@ -157,15 +162,15 @@ def _invert(f_hat: float, beta: int, top_m: float, top: float, sign: int) -> flo
     return 0.5 * (lo + hi)
 
 
-def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
-         eps_hi: float, sign: int) -> Tuple[float, Tuple[float, float]]:
+def _fit(f_hat: float, alpha: Optional[int], beta: int, eps_hi: float,
+         sign: int) -> Tuple[float, Tuple[float, float]]:
     """Magnitude and interval on the branch m -> f(sign*m, beta), bracketed
     by [0, eps_hi] on either branch.  Each end is one ``_invert`` call,
     exact to BRACKET_TOL.
     alpha=None means an exact readout: the interval collapses to the point
     m.  Otherwise the interval inverts the Hoeffding band
-    f_hat +- kappa*sqrt(1/alpha), which holds with probability at least
-    1 - 2*exp(-2*kappa^2).  A fraction at or above the bracket top fits to
+    f_hat +- KAPPA*sqrt(1/alpha), which holds with probability at least
+    1 - 2*exp(-2*KAPPA^2).  A fraction at or above the bracket top fits to
     eps_hi, as does the interval's upper end whenever the band reaches the
     top; telling an overflow from noise is the caller's verdict.  The
     caller keeps beta >= 1, f_hat >= 0 and beta*eps_hi <= 0.45, the product
@@ -175,7 +180,7 @@ def _fit(f_hat: float, alpha: Optional[int], kappa: float, beta: int,
     m = _invert(f_hat, beta, eps_hi, top, sign)
     if alpha is None:
         return m, (m, m)
-    half = kappa * math.sqrt(1.0 / alpha)
+    half = KAPPA * math.sqrt(1.0 / alpha)
     lo = _invert(max(0.0, f_hat - half), beta, eps_hi, top, sign)
     hi = _invert(f_hat + half, beta, eps_hi, top, sign)
     return m, (lo, hi)
@@ -214,8 +219,7 @@ def _chernoff_exponent(p_a: np.ndarray, p_b: np.ndarray, t: float) -> np.ndarray
 
 
 @functools.lru_cache(maxsize=256)
-def _arm_design(size: int, scale: float,
-                kappa: float) -> Tuple[float, int, int, float, float]:
+def _arm_design(size: int, scale: float) -> Tuple[float, int, int, float, float]:
     """(delta, beta', alpha_s, g0, gate) of a two-arm sign test on 2^n =
     size values, with its offset on the grid nearest scale.
 
@@ -235,8 +239,8 @@ def _arm_design(size: int, scale: float,
     (``_chernoff_exponent``) bounds two events: a wrong sign (the statistic
     past the gate on the other side of 0) and, where
     |eps| >= ACCEPT_FACTOR*delta, a miss (the statistic inside the gate).
-    alpha_s = ceil(2*kappa^2/I*), I* the smallest exponent, puts both at
-    exp(-2*kappa^2) or below.  Hoeffding's c^2/4,
+    alpha_s = ceil(2*KAPPA^2/I*), I* the smallest exponent, puts both at
+    exp(-2*KAPPA^2) or below.  Hoeffding's c^2/4,
     c = 2*gate, bounds I* from below, so alpha_s never exceeds a Hoeffding
     sizing at the same gate.  A zero exponent means the contrast has the
     wrong sign, or stays inside the gate, at some grid point, and raises
@@ -272,10 +276,10 @@ def _arm_design(size: int, scale: float,
         raise ParameterError(
             f"sampled mode cannot keep the sign on {size} values: the two-arm "
             f"test at offset {delta} with {beta} loop passes loses it")
-    return delta, beta, math.ceil(2.0 * kappa * kappa / rate), offset, gate
+    return delta, beta, math.ceil(2.0 * KAPPA * KAPPA / rate), offset, gate
 
 
-def _arm_test(o: ThresholdOracle, kappa: float, seed: int, scale: float) -> Optional[int]:
+def _arm_test(o: ThresholdOracle, seed: int, scale: float) -> Optional[int]:
     """One two-arm sign test at the offset nearest scale (``_arm_design``).
 
     Arm s (+1, -1) is alpha_s Bernoulli draws of f((eps + s*delta)/2, beta'),
@@ -286,11 +290,11 @@ def _arm_test(o: ThresholdOracle, kappa: float, seed: int, scale: float) -> Opti
     The statistic (up - down)/alpha_s - g0 is the mean of alpha_s
     independent pair differences (the arms share no draw), and the design's
     Chernoff sizing keeps both a wrong sign and a miss at |eps| >=
-    ACCEPT_FACTOR*delta at probability exp(-2*kappa^2) or below, for every
+    ACCEPT_FACTOR*delta at probability exp(-2*KAPPA^2) or below, for every
     |eps| the rung can see.  Returns +1 or -1 when it clears the design's
     gate, None inside it.
     """
-    delta, beta, alpha, offset, gate = _arm_design(o.size, scale, kappa)
+    delta, beta, alpha, offset, gate = _arm_design(o.size, scale)
     up, down = bernoulli_counts(seed, alpha, (predicted_fraction((o.eps + delta) / 2.0, beta),
                                               predicted_fraction((o.eps - delta) / 2.0, beta)))
     return _gated_sign((up - down) / alpha - offset, gate)
@@ -306,7 +310,7 @@ def _ladder(eps0: float) -> Iterator[float]:
     yield eps0
 
 
-def _arm_sign(o: ThresholdOracle, kappa: float, seed: int, eps0: float,
+def _arm_sign(o: ThresholdOracle, seed: int, eps0: float,
               start: int = 0) -> Tuple[Optional[int], int]:
     """Sampled-mode sign from the first decided rung of a ladder of two-arm
     tests, coarsest first from rung ``start``, with the index of the rung
@@ -332,13 +336,13 @@ def _arm_sign(o: ThresholdOracle, kappa: float, seed: int, eps0: float,
     stream = derive_seed(seed, SALT_ARMS)
     scales = list(_ladder(eps0))
     for rung in range(start, len(scales)):
-        sign = _arm_test(o, kappa, derive_seed(stream, rung), scales[rung])
+        sign = _arm_test(o, derive_seed(stream, rung), scales[rung])
         if sign is not None:
             return sign, rung
     return None, len(scales)
 
 
-def more_than_half_below(d: Dataset, mu: float, eps_min: float, kappa: float = 3.0,
+def more_than_half_below(d: Dataset, mu: float, eps_min: float,
                          mode: str = "exact", seed: int = 0,
                          start: int = 0) -> Tuple[Optional[bool], int]:
     """The median search's comparison at threshold mu: do more than half of
@@ -350,7 +354,7 @@ def more_than_half_below(d: Dataset, mu: float, eps_min: float, kappa: float = 3
     ladder (``_arm_sign``) from rung ``start`` down to eps_min and answers
     None when every rung stays undecided, which means
     |eps| < ACCEPT_FACTOR*eps_min with the last rung's confidence,
-    1 - 2*exp(-2*kappa^2).  A decided rung i > 0 also bounds |eps| below
+    1 - 2*exp(-2*KAPPA^2).  A decided rung i > 0 also bounds |eps| below
     ACCEPT_FACTOR times rung i-1's offset, with that confidence: rung i-1
     stayed undecided here, or the caller's ``start`` already bounded it.
     Either way it builds one oracle and makes no classical draw.
@@ -358,7 +362,7 @@ def more_than_half_below(d: Dataset, mu: float, eps_min: float, kappa: float = 3
     o = make_oracle(d, mu)
     if mode == "exact":
         return o.eps > 0.0, 0
-    sign, rung = _arm_sign(o, kappa, seed, eps_min, start)
+    sign, rung = _arm_sign(o, seed, eps_min, start)
     return None if sign is None else sign == 1, rung
 
 
@@ -367,7 +371,6 @@ def eps_est(
     mu: float,
     eps0: float = 0.1,
     theta: float = 0.1,
-    kappa: float = 3.0,
     mode: str = "exact",
     seed: int = 0,
 ) -> EstimateRecord:
@@ -390,8 +393,6 @@ def eps_est(
     """
     beta = choose_beta(eps0)
     alpha = choose_alpha(theta)
-    if not kappa > 0.0:
-        raise ParameterError(f"kappa must be > 0, got {kappa}")
     plan = RunPlan(alpha, beta, mode, seed)
     o = make_oracle(d, mu)
     res = run_experiment(o, plan)
@@ -405,15 +406,15 @@ def eps_est(
         # f(-eps0) is lower, and would read noise on an in-bracket negative
         # imbalance as overflow more often
         overflow = res.f_hat > predicted_fraction(eps0, beta) + _TOP_TOL
-        sgn, _ = _arm_sign(o, kappa, seed, eps0)
+        sgn, _ = _arm_sign(o, seed, eps0)
     if overflow:
         m, ci = eps0, (eps0, 1.0)
     else:
-        m, ci = _fit(res.f_hat, None if mode == "exact" else alpha, kappa,
-                     beta, eps0, sgn or 1)
+        m, ci = _fit(res.f_hat, None if mode == "exact" else alpha, beta, eps0,
+                     sgn or 1)
     return EstimateRecord(
         eps_hat=m if sgn is None else sgn * m, sign=sgn, ci_lo=ci[0],
         ci_hi=ci[1], f_hat=res.f_hat, exact_p=res.exact_p, alpha=alpha,
-        beta=beta, theta=theta, kappa=kappa, eps0=eps0, mode=mode, seed=seed,
+        beta=beta, theta=theta, kappa=KAPPA, eps0=eps0, mode=mode, seed=seed,
         n=d.n, verdict="eps_exceeds_eps0" if overflow else "ok",
     )

@@ -30,9 +30,6 @@ def test_adaptive_validation(d1024):
         for bad in (0.0, -0.1, 0.1, 0.5):
             with pytest.raises(ParameterError):
                 median_search_counted(d1024, lo, hi, 2.0, eps_min=bad)
-        for bad in (0.0, -1.0):
-            with pytest.raises(ParameterError):
-                median_search_counted(d1024, lo, hi, 2.0, 0.01, kappa=bad)
         for bad in ("sample", "classical"):
             with pytest.raises(ParameterError):
                 median_search_counted(d1024, lo, hi, 2.0, 0.01, mode=bad)
@@ -56,10 +53,10 @@ def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
         cost["classical"] += m
         return probe(o, m, seed)
 
-    def counted_arms(o, kappa, seed, scale):
-        _, beta, alpha, _, _ = estimator._arm_design(o.size, scale, kappa)
+    def counted_arms(o, seed, scale):
+        _, beta, alpha, _, _ = estimator._arm_design(o.size, scale)
         cost["passes"] += 2 * alpha * beta
-        return arms(o, kappa, seed, scale)
+        return arms(o, seed, scale)
 
     monkeypatch.setattr(estimator, "run_experiment", counted_run)
     monkeypatch.setattr(estimator, "classical_estimate", counted_probe)
@@ -137,11 +134,11 @@ def test_sampled_search_arm_passes_sized_for_the_loop(monkeypatch):
     cost = {"passes": 0, "draws": 0}
     arms = estimator._arm_test
 
-    def counted_arms(o, kappa, seed, scale):
-        _, beta, alpha, _, _ = estimator._arm_design(o.size, scale, kappa)
+    def counted_arms(o, seed, scale):
+        _, beta, alpha, _, _ = estimator._arm_design(o.size, scale)
         cost["passes"] += 2 * alpha * beta
         cost["draws"] += 2 * alpha
-        return arms(o, kappa, seed, scale)
+        return arms(o, seed, scale)
 
     monkeypatch.setattr(estimator, "_arm_test", counted_arms)
     drawn = _kernel_draws(monkeypatch)
@@ -169,8 +166,8 @@ def _recorded_search(monkeypatch, d, vmin, vmax, delta, eps_min, seed):
     calls = []
     compare = adaptive.more_than_half_below
 
-    def recorded(d, mu, eps_min, kappa, mode, seed, start):
-        got = compare(d, mu, eps_min, kappa, mode, seed, start)
+    def recorded(d, mu, eps_min, mode, seed, start):
+        got = compare(d, mu, eps_min, mode, seed, start)
         calls.append((mu, start, got[0]))
         return got
 
@@ -187,7 +184,7 @@ def _cold_search(d, vmin, vmax, delta, eps_min, seed):
     mu, decisions = 0.5 * (lower + upper), []
     for step in range(bisection_steps(vmax - vmin, delta)):
         mu = 0.5 * (lower + upper)
-        below, _ = estimator.more_than_half_below(d, mu, eps_min, 3.0, "sampled",
+        below, _ = estimator.more_than_half_below(d, mu, eps_min, "sampled",
                                                   derive_seed(seed, step))
         decisions.append((mu, below))
         if below is None:

@@ -128,6 +128,15 @@ def test_data_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     assert (proc.stdout, proc.stderr) == ("", f"error: {path}: not UTF-8 text\n")
 
 
+def test_confidence_multiplier_is_not_an_option(data32, capsys):
+    # the confidence is fixed (estimator.KAPPA); a --kappa flag is a usage error
+    for argv in (["estimate", "--mu", "17"], ["median"]):
+        assert main([*argv, "--data", data32, "--kappa", "3"]) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: unrecognized arguments: --kappa 3\n"), argv
+
+
 def test_estimate_bad_eps0(data32, capsys):
     assert main(["estimate", "--data", data32, "--mu", "17",
                  "--eps0", "0.5"]) == 1

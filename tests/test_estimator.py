@@ -12,7 +12,6 @@ from qmedian import estimator
 from qmedian import (
     ParameterError,
     dataset_from_values,
-    dataset_to_text,
     eps_est,
     k_closed_form,
     l_closed_form,
@@ -22,8 +21,6 @@ from qmedian import (
     synth_dataset,
 )
 from qmedian.checks import evolve, grid_oracle
-from qmedian.cli import main
-from qmedian.driver import MODES
 from qmedian.estimator import _arm_design, _fit
 
 
@@ -51,16 +48,16 @@ def test_invert_fraction_round_trip():
         hi = MONOTONE_CAP / beta
         for eps in np.linspace(1e-4, hi * 0.999, 23):
             f = predicted_fraction(float(eps), beta)
-            m = _fit(f, None, 0.0, beta, hi, 1)[0]
+            m = _fit(f, None, beta, hi, 1)[0]
             assert abs(m - eps) < 1e-11
 
 
 def test_invert_fraction_zero_and_top():
-    assert _fit(0.0, None, 0.0, 1, 0.1, 1)[0] == 0.0
+    assert _fit(0.0, None, 1, 0.1, 1)[0] == 0.0
     top = predicted_fraction(0.1, 1)
-    assert _fit(top, None, 0.0, 1, 0.1, 1)[0] == pytest.approx(0.1, abs=1e-11)
+    assert _fit(top, None, 1, 0.1, 1)[0] == pytest.approx(0.1, abs=1e-11)
     # rounding forgiveness just past the top maps to the bracket end
-    assert _fit(top + 1e-10, None, 0.0, 1, 0.1, 1)[0] == pytest.approx(0.1, abs=1e-11)
+    assert _fit(top + 1e-10, None, 1, 0.1, 1)[0] == pytest.approx(0.1, abs=1e-11)
 
 
 def test_invert_fraction_clamps_at_and_above_top():
@@ -69,8 +66,8 @@ def test_invert_fraction_clamps_at_and_above_top():
     for sign in (1, -1):
         top = predicted_fraction(sign * 0.1, 1)
         for f in (top, top + 1e-6, predicted_fraction(0.1, 1) + 0.01, 1.0):
-            assert _fit(f, None, 0.0, 1, 0.1, sign) == (0.1, (0.1, 0.1))
-            m, (_, hi) = _fit(f, 900, 3.0, 1, 0.1, sign)
+            assert _fit(f, None, 1, 0.1, sign) == (0.1, (0.1, 0.1))
+            m, (_, hi) = _fit(f, 900, 1, 0.1, sign)
             assert m == hi == 0.1
 
 
@@ -98,15 +95,14 @@ def test_inversion_recovers_both_branches_in_few_evaluations(monkeypatch):
             for eps in np.linspace(0.0, hi, 41):
                 f = predicted_fraction(sign * float(eps), beta)
                 evals.clear()
-                m = _fit(f, None, 0.0, beta, hi, sign)[0]
+                m = _fit(f, None, beta, hi, sign)[0]
                 assert abs(m - eps) <= 1e-12, (beta, sign, eps)
                 assert evals["n"] <= 24, (beta, sign, eps, evals["n"])
 
     # a sampled fit inverts three fractions against one bracket top
     for beta, sign in ((1, 1), (4, 1), (4, -1)):
         evals.clear()
-        m, (lo, hi) = _fit(predicted_fraction(sign * 0.05, beta), 400, 3.0,
-                           beta, 0.1, sign)
+        m, (lo, hi) = _fit(predicted_fraction(sign * 0.05, beta), 400, beta, 0.1, sign)
         assert lo < m < hi
         assert evals[sign * 0.1, beta] == 1, (beta, sign)
 
@@ -115,16 +111,16 @@ def test_inversion_recovers_both_branches_in_few_evaluations(monkeypatch):
 
 def test_confidence_interval_exact_collapses_to_point():
     f = predicted_fraction(0.05, 1)
-    lo, hi = _fit(f, None, 3.0, 1, 0.1, 1)[1]
+    lo, hi = _fit(f, None, 1, 0.1, 1)[1]
     assert lo == hi == pytest.approx(0.05, abs=1e-11)
 
 
 def test_confidence_interval_band_endpoints():
     f = predicted_fraction(0.05, 1)
-    lo, hi = _fit(f, 900, 3.0, 1, 0.1, 1)[1]  # half-width 0.1 in f
+    lo, hi = _fit(f, 900, 1, 0.1, 1)[1]  # half-width 0.1 in f
     assert lo == 0.0  # f - 0.1 < 0 clamps to zero
     assert hi == pytest.approx(0.1, abs=1e-11)  # f + 0.1 beyond top clamps
-    lo2, hi2 = _fit(f, 4000000, 3.0, 1, 0.1, 1)[1]
+    lo2, hi2 = _fit(f, 4000000, 1, 0.1, 1)[1]
     assert lo2 < 0.05 < hi2
     assert hi2 - lo2 < 0.01
 
@@ -165,7 +161,7 @@ def test_estimate_negative_branch_refit_beats_positive_inversion(d32):
     # the refit removes it
     rec = eps_est(d32, 15.0)
     f = rec.f_hat
-    m_pos = _fit(f, None, 0.0, rec.beta, rec.eps0, 1)[0]
+    m_pos = _fit(f, None, rec.beta, rec.eps0, 1)[0]
     assert abs(rec.eps_hat + 0.0625) < abs(m_pos - 0.0625)
 
 
@@ -197,8 +193,7 @@ def test_estimate_accuracy_and_sign_across_small_grid(d1024):
 
 
 def test_estimate_sampled_known_record(d1024):
-    rec = eps_est(d1024, 543.5, eps0=0.1, theta=0.01, kappa=3.0,
-                  mode="sampled", seed=3)
+    rec = eps_est(d1024, 543.5, eps0=0.1, theta=0.01, mode="sampled", seed=3)
     assert rec.eps_hat == pytest.approx(0.062041077749381654, abs=1e-12)
     assert rec.sign == 1
     assert rec.f_hat == 0.0254
@@ -212,16 +207,14 @@ def test_estimate_sampled_known_record(d1024):
 
 
 def test_estimate_sampled_negative_side(d1024):
-    rec = eps_est(d1024, 479.5, eps0=0.1, theta=0.01, kappa=3.0,
-                  mode="sampled", seed=3)
+    rec = eps_est(d1024, 479.5, eps0=0.1, theta=0.01, mode="sampled", seed=3)
     assert rec.sign == -1
     assert rec.eps_hat == pytest.approx(-0.062009286714237534, abs=1e-12)
     assert rec.verdict == "ok"
 
 
 def test_estimate_sampled_balanced_stays_unsigned(d1024):
-    rec = eps_est(d1024, 512.0, eps0=0.1, theta=0.01, kappa=3.0,
-                  mode="sampled", seed=3)
+    rec = eps_est(d1024, 512.0, eps0=0.1, theta=0.01, mode="sampled", seed=3)
     assert rec.sign is None
     assert rec.eps_hat == 0.0
     assert rec.f_hat == 0.0
@@ -254,18 +247,6 @@ def test_estimate_mu_below_everything(d32):
     assert rec.verdict == "eps_exceeds_eps0"
     assert rec.sign == -1
     assert rec.eps_hat == -0.1
-
-
-def test_estimate_rejects_a_non_positive_kappa(d32, tmp_path, capsys):
-    for mode in MODES:
-        for kappa in (0.0, -1.0, math.nan):
-            with pytest.raises(ParameterError, match="^kappa must be > 0, got "):
-                eps_est(d32, 17.0, kappa=kappa, mode=mode)
-    path = tmp_path / "data.txt"
-    path.write_text(dataset_to_text(d32))
-    assert main(["estimate", "--data", str(path), "--mu", "17", "--kappa", "0"]) == 1
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: kappa must be > 0, got 0.0\n")
 
 
 def test_estimate_detects_aliased_extreme_imbalance(d1024):
@@ -406,7 +387,7 @@ def test_sign_arm_is_a_one_ancilla_register_experiment(n, n_below, scale):
     # pass and every rung below it floor(0.9/delta)
     size = 1 << n
     eps = (2 * n_below - size) / size
-    delta, beta, _, _, _ = _arm_design(size, scale, 3.0)
+    delta, beta, _, _, _ = _arm_design(size, scale)
     top = scale == estimator._COARSE_SCALE
     assert beta == (1 if top else max(1, math.floor(0.9 / delta)))
     for s in (1, -1):
@@ -421,7 +402,7 @@ def test_coarse_arms_keep_the_sign_over_the_whole_range():
     # sign of eps on every grid point of a 2^14 register, and clears the
     # design's gate c/2 by at least c/2 wherever |eps| >= 0.05
     size = 1 << 14
-    delta, beta, _, offset, gate = _arm_design(size, estimator._COARSE_SCALE, 3.0)
+    delta, beta, _, offset, gate = _arm_design(size, estimator._COARSE_SCALE)
     assert (delta, beta) == (0.25, 1)
     for j in range(size + 1):
         eps = (2 * j - size) / size
@@ -448,7 +429,7 @@ def test_arm_ladder_sign_is_right_or_undecided(eps0):
         for sign in (1, -1):
             for seed in range(3):
                 d, _ = synth_dataset(14, sign * mag, 0.5, seed)
-                got, _ = estimator._arm_sign(make_oracle(d, 0.5), 3.0, seed, eps0)
+                got, _ = estimator._arm_sign(make_oracle(d, 0.5), seed, eps0)
                 assert got in (sign, None), (mag, sign, seed)
                 if mag >= 0.3:
                     assert got == sign, (mag, sign, seed)
@@ -484,12 +465,12 @@ def test_arm_rungs_keep_the_sign_with_the_fewest_chernoff_draws():
     # |eps| (all of [-1, 1] on the top rung, 0.8*delta below it), the
     # contrast has the sign of eps, and alpha_s is the fewest draws whose
     # Chernoff bound keeps a wrong sign, and a miss at |eps| >=
-    # ACCEPT_FACTOR*delta, at exp(-2*kappa^2) or below
+    # ACCEPT_FACTOR*delta, at exp(-2*KAPPA^2) or below
     for eps0 in (0.01, 0.003):
         for bits in range(10, 23):
             size = 1 << bits
             for scale in estimator._ladder(eps0):
-                delta, beta, _, offset, gate = _arm_design(size, scale, 3.0)
+                delta, beta, alpha, offset, gate = _arm_design(size, scale)
                 edge = estimator.ACCEPT_FACTOR * delta
                 reach = 1.0 if scale == estimator._COARSE_SCALE else 0.8 * delta
                 eps = np.concatenate([np.linspace(-reach, reach, 3201), [-edge, edge]])
@@ -504,12 +485,9 @@ def test_arm_rungs_keep_the_sign_with_the_fewest_chernoff_draws():
                     _lower_tail_exponent(down[neg], up[neg], -offset - gate).min(),
                     _lower_tail_exponent(down[eps <= -edge], up[eps <= -edge],
                                          gate - offset).min())
-                for kappa in (1.0, 3.0, 5.0):
-                    d = _arm_design(size, scale, kappa)
-                    assert d[:2] + d[3:] == (delta, beta, offset, gate), where
-                    alpha, bound = d[2], 2.0 * kappa**2
-                    assert alpha * rate >= bound * (1.0 - 1e-9), (where, kappa)
-                    assert (alpha - 1) * rate < bound, (where, kappa)
+                bound = 2.0 * estimator.KAPPA**2
+                assert alpha * rate >= bound * (1.0 - 1e-9), where
+                assert (alpha - 1) * rate < bound, where
 
 
 def test_arm_design_refuses_a_register_too_small_for_the_sign():
@@ -517,13 +495,13 @@ def test_arm_design_refuses_a_register_too_small_for_the_sign():
     # contrast at eps = 1 has the wrong sign; from 8 values on every rung
     # keeps it
     with pytest.raises(ParameterError, match="cannot keep the sign on 4 values"):
-        _arm_design(4, estimator._COARSE_SCALE, 3.0)
+        _arm_design(4, estimator._COARSE_SCALE)
     d = dataset_from_values(np.arange(4.0))
     with pytest.raises(ParameterError):
         median_search_counted(d, 0.0, 3.0, 0.01, 0.01, mode="sampled")
     for size in (8, 16):
         for scale in estimator._ladder(0.01):
-            assert _arm_design(size, scale, 3.0)[2] > 0
+            assert _arm_design(size, scale)[2] > 0
 
 
 def test_arm_design_table_is_pinned():
@@ -531,7 +509,7 @@ def test_arm_design_table_is_pinned():
     # differently on another platform or Python could move alpha_s across
     # a ceil and change them silently
     def table(eps0, bits):
-        return [_arm_design(1 << bits, scale, 3.0)[1:3] for scale in estimator._ladder(eps0)]
+        return [_arm_design(1 << bits, scale)[1:3] for scale in estimator._ladder(eps0)]
 
     assert table(0.01, 14) == [(1, 4583), (7, 572), (14, 590), (28, 600), (57, 585),
                                (89, 586)]
@@ -588,7 +566,7 @@ def test_arm_ladder_leaves_a_balanced_split_undecided():
     o = make_oracle(d, 0.5)
     assert eps == o.eps == 0.0
     for seed in range(200):
-        assert estimator._arm_sign(o, 3.0, seed, 0.01)[0] is None, seed
+        assert estimator._arm_sign(o, seed, 0.01)[0] is None, seed
 
 
 def test_sampled_results_do_not_depend_on_the_design_cache():
@@ -621,7 +599,7 @@ def test_sampled_sign_in_bracket_makes_no_classical_draw(monkeypatch):
     for sign in (1, -1):
         for seed in range(4):
             d, _ = synth_dataset(14, sign * 0.03, 0.5, seed)
-            assert estimator._arm_sign(make_oracle(d, 0.5), 3.0, seed, 0.1)[0] == sign, seed
+            assert estimator._arm_sign(make_oracle(d, 0.5), seed, 0.1)[0] == sign, seed
             # the estimate takes that sign whatever its readout's precision
             for theta in (0.03, 0.005):
                 rec = eps_est(d, 0.5, eps0=0.1, theta=theta, mode="sampled", seed=seed)
@@ -647,14 +625,14 @@ def _binom_tail(k, n, p):
 
 def test_sampled_estimates_are_calibrated():
     # 25 seeds per cell of eps0 x theta x |eps|/eps0 x sign on 2^14 values.
-    # Each claim holds with probability at least 1 - p, p = 2*exp(-2*kappa^2):
+    # Each claim holds with probability at least 1 - p, p = 2*exp(-2*KAPPA^2):
     # the interval covers |eps|, and the ladder's last rung, at offset eps0,
     # decides |eps| >= ACCEPT_FACTOR*eps0.  An observed failure count passes
     # while its Clopper-Pearson lower bound at confidence 0.999 stays at or
     # below p, i.e. while P(X >= count) >= 0.001 at rate p.  False overflows
     # are not asserted: 7-9 of 25 per cell at 0.9*eps0, except 1 of 25 at
     # eps0 0.1, theta 0.03 (ROADMAP, band-aware sampled overflow).
-    p = 2.0 * math.exp(-2.0 * 3.0**2)
+    p = 2.0 * math.exp(-2.0 * estimator.KAPPA**2)
     wrong = misses = ok = undecided = fine = 0
     for eps0 in (0.1, 0.0125):
         for ratio in (0.3, 0.9):
