@@ -8,7 +8,7 @@ with confidence intervals; a threshold bisection on top of that estimates
 the median.  Everything is deterministic given a seed.
 """
 
-from .adaptive import bisection_steps, median_search_counted
+from .adaptive import median_search_counted
 from .baseline import classical_estimate
 from .checks import CheckResult, run_checks
 from .dataset import (
@@ -88,7 +88,7 @@ __all__ = [
     # estimation
     "EstimateRecord", "eps_est",
     # adaptive drivers
-    "median_search_counted", "bisection_steps",
+    "median_search_counted",
     # classical baseline
     "classical_estimate",
     # verification suite

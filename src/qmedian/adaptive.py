@@ -2,13 +2,16 @@
 
 Each step asks one question at the midpoint mu: do more than half of the
 values lie below it?  ``estimator.more_than_half_below`` answers it, like a
-comparison in ordinary binary search.  Exact mode reads the partition's
-sign, so every step answers and the loop runs ceil(log2(span/delta)) steps,
-narrowing the bracket below the resolution delta, and returns the last
-midpoint probed.  Sampled mode walks the amplified arm ladder down to
-eps_min; when every rung stays undecided, |eps| < ACCEPT_FACTOR*eps_min at
-mu with the test's confidence, so mu is within ACCEPT_FACTOR*eps_min*N/2
-ranks of the median and the search stops there.
+comparison in ordinary binary search, or answers None: it cannot tell.
+The search stops on None, at a bracket no wider than the resolution delta,
+or at a midpoint not strictly inside the bracket (adjacent doubles), and
+returns the last midpoint it reached.  Exact mode cannot tell only at a
+balanced split, eps == 0, a median.  Sampled mode cannot tell when every
+rung of the arm ladder stays undecided down to eps_min: |eps| <
+ACCEPT_FACTOR*eps_min at mu with the test's confidence, within
+ACCEPT_FACTOR*eps_min*N/2 ranks of the median.  With delta = 0 that holds
+on any value scale, in at most about 2,100 halvings (the span of the
+finite doubles down to their smallest spacing).
 
 A sampled step starts the ladder at the finest rung the bracket allows,
 not at the top.  The rung that decided at a bracket end, i > 0, bounds that
@@ -28,7 +31,6 @@ from the top.
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 from .dataset import Dataset
@@ -41,15 +43,6 @@ from .estimator import (
 from .rng import derive_seed
 
 
-def bisection_steps(span: float, delta: float) -> int:
-    """Number of halvings taking a bracket of width span below delta."""
-    if not span > 0.0 or not delta > 0.0:
-        raise ParameterError("span and delta must be positive")
-    if span <= delta:
-        return 0
-    return max(0, math.ceil(math.log2(span / delta) - 1e-9))
-
-
 def median_search_counted(
     d: Dataset,
     vmin: float,
@@ -59,34 +52,39 @@ def median_search_counted(
     mode: str = "exact",
     seed: int = 0,
 ) -> Tuple[float, int, int]:
-    """Median estimate: binary search on the threshold, one comparison per
-    step, to resolution delta.  Returns (mu_hat, bisection steps run,
-    comparisons made); the two counts are equal.
+    """Median estimate: binary search on the threshold under the module's
+    stop rule (delta = 0: no width stop).  Returns (mu_hat, bisection steps
+    run, comparisons made), one comparison per step; vmin == vmax makes none.
 
     The count of values below mu_hat deviates from N/2 by at most
     ACCEPT_FACTOR*eps_min*N/2 (sampled mode, with the arm test's
-    confidence) plus whatever lies inside the final delta-wide bracket.
+    confidence; 0 in exact mode) plus the values tied at the final
+    bracket's lower end, or all of a bracket that delta > 0 cut short.
     """
-    if not vmin < vmax:
-        raise ParameterError(f"need min < max, got {vmin} >= {vmax}")
-    if not delta > 0.0:
-        raise ParameterError(f"resolution must be > 0, got {delta}")
+    if not vmin <= vmax:
+        raise ParameterError(f"need min <= max, got {vmin} > {vmax}")
+    if not delta >= 0.0:
+        raise ParameterError(f"resolution must be >= 0, got {delta}")
     # below 0.1 the stop rule keeps mu within 0.01*N ranks of the median
     if not 0.0 < eps_min < 0.1:
         raise ParameterError(f"eps_min must be in (0, 0.1), got {eps_min}")
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     lower, upper = float(vmin), float(vmax)
+    if lower == upper:
+        return lower, 0, 0
     rung_lower = rung_upper = 0  # first ladder rung each end allows
-    mu = 0.5 * (lower + upper)
+    mu = 0.5 * lower + 0.5 * upper  # halves first: lower + upper may overflow
     steps = 0
-    for step in range(bisection_steps(vmax - vmin, delta)):
-        mu = 0.5 * (lower + upper)
-        below, rung = more_than_half_below(d, mu, eps_min, mode, derive_seed(seed, step),
+    while upper - lower > delta:
+        mu = 0.5 * lower + 0.5 * upper
+        if not lower < mu < upper:
+            break  # adjacent doubles: the bracket cannot shrink
+        below, rung = more_than_half_below(d, mu, eps_min, mode, derive_seed(seed, steps),
                                            min(rung_lower, rung_upper))
         steps += 1
         if below is None:
-            break  # |eps| at mu is inside the last rung's resolution
+            break  # the comparison cannot tell which side holds more than half
         if below:
             upper, rung_upper = mu, max(rung_upper, rung)
         else:

@@ -149,8 +149,10 @@ def build_parser() -> _Parser:
                    help="search bracket lower end (default: dataset min)")
     p.add_argument("--max", type=float, default=None, dest="vmax",
                    help="search bracket upper end (default: dataset max)")
-    p.add_argument("--resolution", type=float, default=None,
-                   help="bracket width to stop at (default: span/2^20)")
+    p.add_argument("--resolution", type=float, default=0.0,
+                   help="bracket width to stop at (default 0: search until "
+                        "the comparison cannot tell or the bracket's ends "
+                        "are adjacent doubles)")
     p.add_argument("--eps-min", type=float, default=0.01, dest="eps_min",
                    help="last rung of the sampled sign ladder (default 0.01)")
     _add_mode(p)
@@ -202,14 +204,14 @@ def cmd_median(ns) -> int:
     d = read_dataset(ns.data)
     vmin = float(d.values.min()) if ns.vmin is None else ns.vmin
     vmax = float(d.values.max()) if ns.vmax is None else ns.vmax
-    delta = (vmax - vmin) / 2.0 ** 20 if ns.resolution is None else ns.resolution
     mu_hat, steps, calls = median_search_counted(
-        d, vmin, vmax, delta, ns.eps_min, mode=ns.mode, seed=ns.seed,
+        d, vmin, vmax, ns.resolution, ns.eps_min, mode=ns.mode, seed=ns.seed,
     )
     sys.stderr.write(
         "note: each bisection step asks whether more than half of the values "
-        "lie below the midpoint; sampled mode stops at a midpoint whose "
-        "|imbalance| the arm ladder leaves below 0.2*eps-min; "
+        "lie below the midpoint, and the search stops where that cannot be "
+        "told: exact mode at a split of exactly half, sampled mode at a "
+        "midpoint whose |imbalance| the arm ladder leaves below 0.2*eps-min; "
         "values equal to a threshold count as above it.\n"
     )
     out = {

@@ -347,12 +347,12 @@ def more_than_half_below(d: Dataset, mu: float, eps_min: float,
                          start: int = 0) -> Tuple[Optional[bool], int]:
     """The median search's comparison at threshold mu: do more than half of
     the values lie below it (eps > 0)?  Returns the answer and the ladder
-    rung that gave it.
+    rung that gave it.  None means the comparison cannot tell.
 
-    Exact mode reads the partition's sign, so it always answers, at rung 0;
-    a balanced split (eps == 0) answers False.  Sampled mode walks the arm
-    ladder (``_arm_sign``) from rung ``start`` down to eps_min and answers
-    None when every rung stays undecided, which means
+    Exact mode reads the partition's sign at rung 0, and answers None only
+    at a balanced split (eps == 0).  Sampled mode walks the arm ladder
+    (``_arm_sign``) from rung ``start`` down to eps_min and answers None
+    when every rung stays undecided, which means
     |eps| < ACCEPT_FACTOR*eps_min with the last rung's confidence,
     1 - 2*exp(-2*KAPPA^2).  A decided rung i > 0 also bounds |eps| below
     ACCEPT_FACTOR times rung i-1's offset, with that confidence: rung i-1
@@ -361,7 +361,7 @@ def more_than_half_below(d: Dataset, mu: float, eps_min: float,
     """
     o = make_oracle(d, mu)
     if mode == "exact":
-        return o.eps > 0.0, 0
+        return (o.eps > 0.0 if o.eps else None), 0
     sign, rung = _arm_sign(o, seed, eps_min, start)
     return None if sign is None else sign == 1, rung
 

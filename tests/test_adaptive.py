@@ -6,7 +6,6 @@ import pytest
 from qmedian import (
     ParameterError,
     adaptive,
-    bisection_steps,
     dataset_from_values,
     derive_seed,
     estimator,
@@ -181,11 +180,13 @@ def _recorded_search(monkeypatch, d, vmin, vmax, delta, eps_min, seed):
 def _cold_search(d, vmin, vmax, delta, eps_min, seed):
     """Bisection whose every step walks the ladder from the top rung."""
     lower, upper = vmin, vmax
-    mu, decisions = 0.5 * (lower + upper), []
-    for step in range(bisection_steps(vmax - vmin, delta)):
-        mu = 0.5 * (lower + upper)
+    mu, decisions = 0.5 * lower + 0.5 * upper, []
+    while upper - lower > delta:
+        mu = 0.5 * lower + 0.5 * upper
+        if not lower < mu < upper:
+            break
         below, _ = estimator.more_than_half_below(d, mu, eps_min, "sampled",
-                                                  derive_seed(seed, step))
+                                                  derive_seed(seed, len(decisions)))
         decisions.append((mu, below))
         if below is None:
             break
@@ -233,37 +234,19 @@ def test_warm_started_search_decides_like_a_cold_ladder(monkeypatch):
 
 # --------------------------------------------------------------- bisection
 
-def test_bisection_steps_table():
-    assert bisection_steps(32.0, 1.0) == 5
-    assert bisection_steps(31.0, 1.0) == 5
-    assert bisection_steps(10.0, 1.0) == 4
-    assert bisection_steps(1.0, 1.0) == 0
-    assert bisection_steps(0.5, 1.0) == 0
-    assert bisection_steps(2.0**20, 1.0) == 20
-    assert bisection_steps(1.0, 1.0 / 2**20) == 20
-
-
-def test_bisection_steps_validation():
-    with pytest.raises(ParameterError):
-        bisection_steps(0.0, 1.0)
-    with pytest.raises(ParameterError):
-        bisection_steps(1.0, 0.0)
-
-
 def test_median_search_integer_values():
     d = dataset_from_values(np.arange(32.0))
     mu_hat, steps, calls = median_search_counted(d, 0.0, 31.0, 1.0, 0.01)
-    assert (mu_hat, steps, calls) == (16.46875, 5, 5)  # one comparison per step
-    assert 15.5 <= mu_hat <= 16.5
-    assert rank_below(d, mu_hat) in (16, 17)
+    assert (mu_hat, steps, calls) == (15.5, 1, 1)  # one comparison per step
+    assert rank_below(d, mu_hat) == 16
 
 
-def test_median_search_first_probe_balanced_goes_lower():
-    # at the first midpoint 15.5 the split is exactly even, so the bracket
-    # keeps the upper half
+def test_median_search_stops_at_a_balanced_first_probe():
+    # at the first midpoint 15.5 the split is exactly even: the comparison
+    # cannot tell, and 15.5 is a median, whatever the resolution
     d = dataset_from_values(np.arange(32.0))
-    mu_hat = median_search_counted(d, 0.0, 31.0, 8.0, 0.01)[0]
-    assert mu_hat > 15.5  # steps land above the balanced first midpoint
+    for delta in (0.0, 1e-300, 1.0, 8.0):
+        assert median_search_counted(d, 0.0, 31.0, delta, 0.01) == (15.5, 1, 1), delta
 
 
 def test_median_search_constant_dataset_converges_to_value():
@@ -271,6 +254,16 @@ def test_median_search_constant_dataset_converges_to_value():
     for mode in ("exact", "sampled"):
         mu_hat = median_search_counted(d, 0.0, 20.0, 0.01, 0.01, mode=mode)[0]
         assert abs(mu_hat - 7.0) <= 0.01, mode
+
+
+def test_median_search_near_the_largest_doubles():
+    # the midpoint halves each end before adding them, so a bracket whose
+    # ends sum past the largest double still shrinks
+    vals = np.linspace(1.0e308, 1.7e308, 64)
+    d = dataset_from_values(vals)
+    for mode in ("exact", "sampled"):
+        mu_hat = median_search_counted(d, 1.0e308, 1.7e308, 0.0, 0.01, mode=mode)[0]
+        assert abs(rank_below(d, mu_hat) - 32) <= 0.01 * 64 + 2, mode
 
 
 def test_median_search_rank_accuracy_random_data():
@@ -294,13 +287,19 @@ def test_median_search_sampled_mode():
 
 def _plain_bisection(d, vmin, vmax, delta):
     """Bisection on the data's own count: more than half below moves the
-    upper end, anything else the lower one."""
+    upper end, fewer the lower one, and exactly half stops it, as does a
+    bracket no wider than delta or with adjacent ends."""
     lower, upper = vmin, vmax
-    mu = 0.5 * (lower + upper)
-    steps = bisection_steps(vmax - vmin, delta)
-    for _ in range(steps):
-        mu = 0.5 * (lower + upper)
-        if 2 * rank_below(d, mu) > d.size:
+    mu, steps = 0.5 * lower + 0.5 * upper, 0
+    while upper - lower > delta:
+        mu = 0.5 * lower + 0.5 * upper
+        if not lower < mu < upper:
+            break
+        steps += 1
+        excess = 2 * rank_below(d, mu) - d.size
+        if excess == 0:
+            break
+        if excess > 0:
             upper = mu
         else:
             lower = mu
@@ -315,11 +314,11 @@ def test_exact_search_is_plain_bisection_on_the_count():
         vmin, vmax = float(vals.min()), float(vals.max())
         if vmin == vmax:
             vmin, vmax = 0.0, 20.0
-        delta = (vmax - vmin) / 2**20
-        mu_hat, steps, calls = median_search_counted(d, vmin, vmax, delta, 0.01,
-                                                     mode="exact", seed=3)
-        assert (mu_hat, steps) == _plain_bisection(d, vmin, vmax, delta)
-        assert calls == steps
+        for delta in ((vmax - vmin) / 2**20, 0.0, 1e-300):
+            mu_hat, steps, calls = median_search_counted(d, vmin, vmax, delta, 0.01,
+                                                         mode="exact", seed=3)
+            assert (mu_hat, steps) == _plain_bisection(d, vmin, vmax, delta), delta
+            assert calls == steps
 
 
 def test_sampled_search_stops_within_the_last_rungs_resolution():
@@ -377,12 +376,13 @@ def test_median_search_zero_steps_returns_midpoint():
 
 def test_median_search_validation():
     d = dataset_from_values(np.arange(32.0))
-    with pytest.raises(ParameterError):
-        median_search_counted(d, 5.0, 5.0, 1.0, 0.01)
+    # a one-point bracket is its own answer, after no comparison
+    assert median_search_counted(d, 5.0, 5.0, 0.0, 0.01) == (5.0, 0, 0)
     with pytest.raises(ParameterError):
         median_search_counted(d, 5.0, 1.0, 1.0, 0.01)
-    with pytest.raises(ParameterError):
-        median_search_counted(d, 0.0, 31.0, 0.0, 0.01)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ParameterError):
+            median_search_counted(d, 0.0, 31.0, bad, 0.01)
 
 
 def test_median_search_deterministic():

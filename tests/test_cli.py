@@ -151,9 +151,8 @@ def test_median_output_and_note(data32, capsys):
     rec = json.loads(captured.out)
     jsonschema.validate(rec, _schema("median"))
     assert "more than half of the values lie below the midpoint" in captured.err
-    assert 15.5 <= rec["mu_hat"] <= 16.5
-    assert rec["steps"] == 5
-    assert rec["rank_below"] in (16, 17)
+    # the first midpoint splits the values exactly in half and ends the search
+    assert (rec["mu_hat"], rec["steps"], rec["rank_below"]) == (15.5, 1, 16)
 
 
 def test_median_default_bracket_is_data_range(data32, capsys):
@@ -164,17 +163,47 @@ def test_median_default_bracket_is_data_range(data32, capsys):
 
 def test_median_bad_bracket(data32, capsys):
     # the search reports a bad bracket before the note on how it decides
-    assert main(["median", "--data", data32, "--min", "5", "--max", "5"]) == 1
-    assert capsys.readouterr().err == "error: need min < max, got 5.0 >= 5.0\n"
+    assert main(["median", "--data", data32, "--min", "5", "--max", "1"]) == 1
+    assert capsys.readouterr().err == "error: need min <= max, got 5.0 > 1.0\n"
     assert main(["median", "--data", data32, "--min", "9", "--max", "2"]) == 1
     err = capsys.readouterr().err
-    assert "need min < max" in err
+    assert "need min <= max" in err
     assert "note:" not in err
 
 
+def test_median_constant_data(tmp_path, capsys):
+    # the default bracket is the one point 7.0: it is the median, and no
+    # comparison is made
+    path = _write_data(tmp_path, np.full(64, 7.0))
+    for mode in ("exact", "sampled"):
+        assert main(["median", "--data", path, "--mode", mode]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["mu_hat"], rec["steps"], rec["calls"]) == (7.0, 0, 0), mode
+
+
+@pytest.mark.parametrize("kind", ["outlier", "lognormal", "cauchy"])
+def test_median_default_resolution_keeps_the_rank_bound(tmp_path, capsys, kind):
+    # with no --resolution the search stops on ranks, not on a value scale,
+    # so skewed data lands as close to the median as uniform data
+    size = 2**14
+    rng = np.random.default_rng([31, size])
+    if kind == "outlier":
+        vals = rng.random(size) * 1000.0
+        vals[0] = 1e12
+    elif kind == "lognormal":
+        vals = rng.lognormal(0.0, 4.0, size)
+    else:
+        vals = rng.standard_cauchy(size)
+    path = _write_data(tmp_path, vals)
+    for mode in ("exact", "sampled"):
+        assert main(["median", "--data", path, "--mode", mode]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert abs(rec["rank_below"] - size // 2) <= 0.01 * size + 2, (kind, mode)
+
+
 def test_median_bad_resolution(data32, capsys):
-    assert main(["median", "--data", data32, "--resolution", "0"]) == 1
-    assert capsys.readouterr().err == "error: resolution must be > 0, got 0.0\n"
+    assert main(["median", "--data", data32, "--resolution", "-1"]) == 1
+    assert capsys.readouterr().err == "error: resolution must be >= 0, got -1.0\n"
     assert main(["median", "--data", data32, "--eps-min", "0.1"]) == 1
     assert capsys.readouterr().err == "error: eps_min must be in (0, 0.1), got 0.1\n"
 

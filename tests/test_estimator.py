@@ -553,10 +553,11 @@ def test_exact_outputs_are_pinned():
         for r in (0, 1, 7, 57):
             lines.append(repr((k_closed_form(eps, r), l_closed_form(eps, r),
                                predicted_fraction(eps, r))))
-    assert lines[:2] == ["(497.35546112060547, 20, 20)", "(493.4968948364258, 20, 20)"]
+    # each search stops at its first midpoint with exactly half below
+    assert lines[:2] == ["(497.344970703125, 15, 15)", "(493.4844970703125, 16, 16)"]
     assert lines[26] == "(0j, (1+1j), 0.0)"  # eps = -0.0, r = 0
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "0b5000f9f840ecee9963e233d9658e6ba2f297f19d56fb948f405c8e1f07e79e")
+        "d4572b8da16840752571f472d9bc2d28f1850eab80b8a9a3d8c02d0592693038")
 
 
 def test_arm_ladder_leaves_a_balanced_split_undecided():
