@@ -4,7 +4,7 @@ amplitude-amplified median/imbalance estimation.
 The package simulates an n-bit register whose basis states carry dataset
 values, amplifies the below-threshold amplitude with a diffusion loop,
 and inverts the measured below fraction into a signed imbalance estimate
-with confidence intervals; a threshold bisection on top of that estimates
+with confidence intervals; a threshold search on top of that estimates
 the median.  Everything is deterministic given a seed.
 """
 

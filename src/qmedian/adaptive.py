@@ -1,17 +1,31 @@
-"""Median search by bisection on the threshold.
+"""Median search on the threshold: bisection, or regula falsi where the
+imbalance is known.
 
-Each step asks one question at the midpoint mu: do more than half of the
-values lie below it?  ``estimator.more_than_half_below`` answers it, like a
-comparison in ordinary binary search, or answers None: it cannot tell.
-The search stops on None, at a bracket no wider than the resolution delta,
-or at a midpoint not strictly inside the bracket (adjacent doubles), and
-returns the last midpoint it reached.  Exact mode cannot tell only at a
-balanced split, eps == 0, a median.  Sampled mode cannot tell when every
-rung of the arm ladder stays undecided down to eps_min: |eps| <
-ACCEPT_FACTOR*eps_min at mu with the test's confidence, within
-ACCEPT_FACTOR*eps_min*N/2 ranks of the median.  With delta = 0 that holds
-on any value scale, in at most about 2,100 halvings (the span of the
-finite doubles down to their smallest spacing).
+Each step asks one question at a probe mu inside the bracket: do more than
+half of the values lie below it?  ``estimator.more_than_half_below``
+answers it, like a comparison in ordinary binary search, or answers None:
+it cannot tell.  The search stops on None, at a bracket no wider than the
+resolution delta, or at a midpoint not strictly inside the bracket
+(adjacent doubles), and returns the last probe it reached.  Exact mode
+cannot tell only at a balanced split, eps == 0, a median.  Sampled mode
+cannot tell when every rung of the arm ladder stays undecided down to
+eps_min: |eps| < ACCEPT_FACTOR*eps_min at mu with the test's confidence,
+within ACCEPT_FACTOR*eps_min*N/2 ranks of the median.
+
+Each end carries the eps the search knows there: -1 at vmin, +1 at vmax,
+then the eps of the comparison that moved it (exact mode's partition
+count; None, unknown, in sampled mode).  When both ends carry one, the
+probe is where the chord through them crosses 0, w*lower + (1-w)*upper
+with w = eps_upper/(eps_upper - eps_lower), a form that cannot overflow,
+and an end kept twice running has its eps halved (Illinois).  After a
+step that kept a share k > 1/2 of its bracket, w is clamped to
+[1 - 1/(2k), 1/(2k)]: the midpoint after a step that kept it all.  The
+probe is also the midpoint when an end's eps is unknown or the chord's
+root is not strictly inside the bracket.  So the first probe is the
+midpoint, a sampled search probes only midpoints, and every two steps at
+least halve the bracket: with delta = 0 the stop rule holds on any value
+scale, in at most about 4,200 steps, twice the halvings that span the
+finite doubles down to their smallest spacing.
 
 A sampled step starts the ladder at the finest rung the bracket allows,
 not at the top.  The rung that decided at a bracket end, i > 0, bounds that
@@ -52,9 +66,9 @@ def median_search_counted(
     mode: str = "exact",
     seed: int = 0,
 ) -> Tuple[float, int, int]:
-    """Median estimate: binary search on the threshold under the module's
-    stop rule (delta = 0: no width stop).  Returns (mu_hat, bisection steps
-    run, comparisons made), one comparison per step; vmin == vmax makes none.
+    """Median estimate: search on the threshold with the module's probes
+    and stop rule (delta = 0: no width stop).  Returns (mu_hat, steps run,
+    comparisons made), one comparison per step; vmin == vmax makes none.
 
     The count of values below mu_hat deviates from N/2 by at most
     ACCEPT_FACTOR*eps_min*N/2 (sampled mode, with the arm test's
@@ -74,20 +88,30 @@ def median_search_counted(
     if lower == upper:
         return lower, 0, 0
     rung_lower = rung_upper = 0  # first ladder rung each end allows
+    eps_lower, eps_upper = -1.0, 1.0  # eps each end carries, None if unknown
     mu = 0.5 * lower + 0.5 * upper  # halves first: lower + upper may overflow
-    steps = 0
+    steps, side, kept = 0, 0, 0.5  # the end the last step moved, the share it kept
     while upper - lower > delta:
-        mu = 0.5 * lower + 0.5 * upper
+        w = 0.5  # the probe's weight on lower
+        if eps_lower is not None and eps_upper is not None:
+            w = eps_upper / (eps_upper - eps_lower)  # where the chord crosses 0
+            w = min(max(w, 1.0 - 0.5 / kept), 0.5 / kept)  # halve over two steps
+        mu = w * lower + (1.0 - w) * upper
         if not lower < mu < upper:
-            break  # adjacent doubles: the bracket cannot shrink
-        below, rung = more_than_half_below(d, mu, eps_min, mode, derive_seed(seed, steps),
-                                           min(rung_lower, rung_upper))
+            w, mu = 0.5, 0.5 * lower + 0.5 * upper
+            if not lower < mu < upper:
+                break  # adjacent doubles: the bracket cannot shrink
+        below, rung, eps = more_than_half_below(d, mu, eps_min, mode, derive_seed(seed, steps),
+                                                min(rung_lower, rung_upper))
         steps += 1
         if below is None:
             break  # the comparison cannot tell which side holds more than half
         if below:
-            upper, rung_upper = mu, max(rung_upper, rung)
+            if side > 0 and eps_lower is not None:
+                eps_lower *= 0.5  # lower kept twice running (Illinois)
+            upper, rung_upper, eps_upper, side, kept = mu, max(rung_upper, rung), eps, 1, 1.0 - w
         else:
-            lower, rung_lower = mu, max(rung_lower, rung)
+            if side < 0 and eps_upper is not None:
+                eps_upper *= 0.5
+            lower, rung_lower, eps_lower, side, kept = mu, max(rung_lower, rung), eps, -1, w
     return mu, steps, steps
-

@@ -143,7 +143,7 @@ def build_parser() -> _Parser:
     _add_seed(p)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("median", help="median estimate by threshold bisection")
+    p = sub.add_parser("median", help="median estimate by threshold search")
     p.add_argument("--data", required=True)
     p.add_argument("--min", type=float, default=None, dest="vmin",
                    help="search bracket lower end (default: dataset min)")
@@ -208,11 +208,11 @@ def cmd_median(ns) -> int:
         d, vmin, vmax, ns.resolution, ns.eps_min, mode=ns.mode, seed=ns.seed,
     )
     sys.stderr.write(
-        "note: each bisection step asks whether more than half of the values "
-        "lie below the midpoint, and the search stops where that cannot be "
-        "told: exact mode at a split of exactly half, sampled mode at a "
-        "midpoint whose |imbalance| the arm ladder leaves below 0.2*eps-min; "
-        "values equal to a threshold count as above it.\n"
+        "note: each step asks whether more than half of the values lie below a probe "
+        "(exact mode: where the ends' imbalances put the median; sampled: the midpoint), "
+        "and the search stops where that cannot be told: exact mode at a split of exactly "
+        "half, sampled mode at a probe whose |imbalance| the arm ladder leaves below "
+        "0.2*eps-min; values equal to a threshold count as above it.\n"
     )
     out = {
         "mu_hat": mu_hat,

@@ -43,7 +43,7 @@ count alpha from the precision target theta (``driver.choose_beta``,
 ``driver.choose_alpha``); neither is an input of its own.
 
 The median search needs none of this: ``more_than_half_below`` answers its
-one comparison per step from the partition's sign or the ladder alone,
+one comparison per step from the partition's count or the ladder alone,
 walked from the rung the search's bracket allows (``adaptive``).
 """
 
@@ -344,26 +344,28 @@ def _arm_sign(o: ThresholdOracle, seed: int, eps0: float,
 
 def more_than_half_below(d: Dataset, mu: float, eps_min: float,
                          mode: str = "exact", seed: int = 0,
-                         start: int = 0) -> Tuple[Optional[bool], int]:
+                         start: int = 0) -> Tuple[Optional[bool], int, Optional[float]]:
     """The median search's comparison at threshold mu: do more than half of
-    the values lie below it (eps > 0)?  Returns the answer and the ladder
-    rung that gave it.  None means the comparison cannot tell.
+    the values lie below it (eps > 0)?  Returns the answer, the ladder rung
+    that gave it and the imbalance eps at mu, or None for an eps it does not
+    know.  An answer of None means the comparison cannot tell.
 
-    Exact mode reads the partition's sign at rung 0, and answers None only
-    at a balanced split (eps == 0).  Sampled mode walks the arm ladder
+    Exact mode reads the partition's eps and its sign at rung 0, and answers
+    None only at a balanced split (eps == 0).  Sampled mode walks the arm ladder
     (``_arm_sign``) from rung ``start`` down to eps_min and answers None
     when every rung stays undecided, which means
     |eps| < ACCEPT_FACTOR*eps_min with the last rung's confidence,
     1 - 2*exp(-2*KAPPA^2).  A decided rung i > 0 also bounds |eps| below
     ACCEPT_FACTOR times rung i-1's offset, with that confidence: rung i-1
     stayed undecided here, or the caller's ``start`` already bounded it.
-    Either way it builds one oracle and makes no classical draw.
+    Sampled mode reads a sign, not a magnitude, so its eps is None.  Either
+    way it builds one oracle and makes no classical draw.
     """
     o = make_oracle(d, mu)
     if mode == "exact":
-        return (o.eps > 0.0 if o.eps else None), 0
+        return (o.eps > 0.0 if o.eps else None), 0, o.eps
     sign, rung = _arm_sign(o, seed, eps_min, start)
-    return None if sign is None else sign == 1, rung
+    return None if sign is None else sign == 1, rung, None
 
 
 def eps_est(

@@ -67,8 +67,9 @@ def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
         for seed in range(10):
             sign = 1 if seed % 2 == 0 else -1
             d, _ = synth_dataset(14, sign * mag, 0.5, seed)
-            below, _ = estimator.more_than_half_below(d, 0.5, 0.002, mode="sampled",
-                                                      seed=seed)
+            below, _, eps = estimator.more_than_half_below(d, 0.5, 0.002, mode="sampled",
+                                                           seed=seed)
+            assert eps is None  # a sampled comparison reads no magnitude
             assert below in (None, sign == 1), (mag, seed)
         passes.append(cost["passes"])
         total.append(cost["passes"] + cost["classical"])
@@ -185,8 +186,8 @@ def _cold_search(d, vmin, vmax, delta, eps_min, seed):
         mu = 0.5 * lower + 0.5 * upper
         if not lower < mu < upper:
             break
-        below, _ = estimator.more_than_half_below(d, mu, eps_min, "sampled",
-                                                  derive_seed(seed, len(decisions)))
+        below, _, _ = estimator.more_than_half_below(d, mu, eps_min, "sampled",
+                                                     derive_seed(seed, len(decisions)))
         decisions.append((mu, below))
         if below is None:
             break
@@ -285,40 +286,109 @@ def test_median_search_sampled_mode():
     assert abs(rank_below(d, mu_hat) - 128) <= 4
 
 
-def _plain_bisection(d, vmin, vmax, delta):
-    """Bisection on the data's own count: more than half below moves the
-    upper end, fewer the lower one, and exactly half stops it, as does a
-    bracket no wider than delta or with adjacent ends."""
-    lower, upper = vmin, vmax
-    mu, steps = 0.5 * lower + 0.5 * upper, 0
+def _count_search(d, vmin, vmax, delta, chord=True):
+    """The exact search on the data's own count: more than half below moves
+    the upper end, fewer the lower one, and exactly half stops it, as does a
+    bracket no wider than delta or with adjacent ends.  Each end keeps its
+    eps = (2*#below - N)/N (-1 and +1 at vmin and vmax), halved when the end
+    is kept twice running, and the probe is where the chord through them
+    crosses 0, clamped so that every two steps at least halve the bracket.
+    chord=False probes the midpoint: plain bisection."""
+    lower, upper, eps_lower, eps_upper = vmin, vmax, -1.0, 1.0
+    mu, steps, side, kept = 0.5 * lower + 0.5 * upper, 0, 0, 0.5
     while upper - lower > delta:
-        mu = 0.5 * lower + 0.5 * upper
+        w = 0.5
+        if chord:
+            limit = 0.5 / kept  # the bracket two steps back, over twice this one
+            w = min(max(eps_upper / (eps_upper - eps_lower), 1.0 - limit), limit)
+        mu = w * lower + (1.0 - w) * upper
         if not lower < mu < upper:
-            break
+            w, mu = 0.5, 0.5 * lower + 0.5 * upper
+            if not lower < mu < upper:
+                break
         steps += 1
         excess = 2 * rank_below(d, mu) - d.size
         if excess == 0:
             break
         if excess > 0:
-            upper = mu
+            upper, eps_upper, kept = mu, excess / d.size, 1.0 - w
+            if side > 0:
+                eps_lower *= 0.5
+            side = 1
         else:
-            lower = mu
+            lower, eps_lower, kept = mu, excess / d.size, w
+            if side < 0:
+                eps_upper *= 0.5
+            side = -1
     return mu, steps
 
 
-def test_exact_search_is_plain_bisection_on_the_count():
+def _skewed_values(kind, size=2**14):
+    """The CLI tests' skewed files: one far outlier, lognormal sigma = 4, or
+    standard Cauchy."""
+    rng = np.random.default_rng([31, size])
+    if kind == "outlier":
+        vals = rng.random(size) * 1000.0
+        vals[0] = 1e12
+        return vals
+    if kind == "lognormal":
+        return rng.lognormal(0.0, 4.0, size)
+    return rng.standard_cauchy(size)
+
+
+def _exact_inputs():
+    """(name, values, bracket) of the exact searches the tests compare: tie-free,
+    tied, constant, skewed and near the largest doubles."""
     sin = np.sort(np.abs(np.sin(np.arange(4096.0)))) * 100
     ties = np.random.default_rng([5, 16]).integers(0, 16, 1 << 12).astype(float)
-    for vals in (np.arange(32.0), sin, ties, np.full(64, 7.0)):
+    skewed = [(kind, _skewed_values(kind)) for kind in ("outlier", "lognormal", "cauchy")]
+    for name, vals in [("arange", np.arange(32.0)), ("sin", sin), ("ties", ties)] + skewed:
+        yield name, vals, (float(vals.min()), float(vals.max()))
+    yield "constant", np.full(64, 7.0), (0.0, 20.0)
+    yield "largest", np.linspace(1.0e308, 1.7e308, 64), (1.0e308, 1.7e308)
+    # uneven, so that the chord runs on ends near the largest double
+    cubes = 1.0e308 + 0.7e308 * (np.arange(64.0) / 64) ** 3
+    yield "largest-uneven", cubes, (1.0e308, 1.7e308)
+
+
+def test_exact_search_is_regula_falsi_on_the_count():
+    for name, vals, (vmin, vmax) in _exact_inputs():
         d = dataset_from_values(vals)
-        vmin, vmax = float(vals.min()), float(vals.max())
-        if vmin == vmax:
-            vmin, vmax = 0.0, 20.0
         for delta in ((vmax - vmin) / 2**20, 0.0, 1e-300):
             mu_hat, steps, calls = median_search_counted(d, vmin, vmax, delta, 0.01,
                                                          mode="exact", seed=3)
-            assert (mu_hat, steps) == _plain_bisection(d, vmin, vmax, delta), delta
+            assert (mu_hat, steps) == _count_search(d, vmin, vmax, delta), (name, delta)
             assert calls == steps
+
+
+def test_exact_search_steps_within_twice_bisection():
+    # every two steps at least halve the bracket, so the chord never costs
+    # more than twice plain bisection's steps (+1 for an odd count); tie-free
+    # data lands on exactly half below
+    for name, vals, (vmin, vmax) in _exact_inputs():
+        d = dataset_from_values(vals)
+        for delta in ((vmax - vmin) / 2**20, 0.0, 1e-300):
+            mu_hat, steps, _ = median_search_counted(d, vmin, vmax, delta, 0.01)
+            plain = _count_search(d, vmin, vmax, delta, chord=False)[1]
+            assert steps <= 2 * plain + 1, (name, delta, steps, plain)
+            if delta == 0.0 and np.unique(vals).size == vals.size:
+                assert rank_below(d, mu_hat) == vals.size // 2, name
+
+
+def test_exact_search_steps_on_the_benchmark_shape():
+    # eight sets of 2^16 distinct uniform values, searched as the
+    # median-exact benchmark does: plain bisection takes 15.25 steps a search
+    # on these, the chord 4.75
+    steps = []
+    for i in range(8):
+        vals = np.random.default_rng([1, 100, i]).random(1 << 16) * 1000.0
+        assert np.unique(vals).size == vals.size
+        d = dataset_from_values(vals)
+        vmin, vmax = float(vals.min()), float(vals.max())
+        mu_hat, run, _ = median_search_counted(d, vmin, vmax, (vmax - vmin) / 2**20, 0.01)
+        assert rank_below(d, mu_hat) == 1 << 15, i
+        steps.append(run)
+    assert np.mean(steps) <= 8, steps
 
 
 def test_sampled_search_stops_within_the_last_rungs_resolution():

@@ -150,8 +150,9 @@ def test_median_output_and_note(data32, capsys):
     captured = capsys.readouterr()
     rec = json.loads(captured.out)
     jsonschema.validate(rec, _schema("median"))
-    assert "more than half of the values lie below the midpoint" in captured.err
-    # the first midpoint splits the values exactly in half and ends the search
+    assert "more than half of the values lie below a probe" in captured.err
+    # the first probe, the midpoint, splits the values exactly in half and
+    # ends the search
     assert (rec["mu_hat"], rec["steps"], rec["rank_below"]) == (15.5, 1, 16)
 
 

@@ -553,11 +553,11 @@ def test_exact_outputs_are_pinned():
         for r in (0, 1, 7, 57):
             lines.append(repr((k_closed_form(eps, r), l_closed_form(eps, r),
                                predicted_fraction(eps, r))))
-    # each search stops at its first midpoint with exactly half below
-    assert lines[:2] == ["(497.344970703125, 15, 15)", "(493.4844970703125, 16, 16)"]
+    # each search stops at its first probe with exactly half below
+    assert lines[:2] == ["(497.3534568994563, 10, 10)", "(493.49088220477836, 4, 4)"]
     assert lines[26] == "(0j, (1+1j), 0.0)"  # eps = -0.0, r = 0
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "d4572b8da16840752571f472d9bc2d28f1850eab80b8a9a3d8c02d0592693038")
+        "1964e0fc448baac2c9e9011f002340c6a43cedc63078ae9a1002d54d5a2ee61f")
 
 
 def test_arm_ladder_leaves_a_balanced_split_undecided():
