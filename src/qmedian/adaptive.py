@@ -1,5 +1,6 @@
-"""Median search on the threshold: bisection, or regula falsi where the
-imbalance is known.
+"""Median search on the threshold: regula falsi on the imbalance each
+comparison reads, safeguarded so that it never costs more than twice
+bisection.
 
 Each step asks one question at a probe mu inside the bracket: do more than
 half of the values lie below it?  ``estimator.more_than_half_below``
@@ -13,26 +14,29 @@ eps_min: |eps| < ACCEPT_FACTOR*eps_min at mu with the test's confidence,
 within ACCEPT_FACTOR*eps_min*N/2 ranks of the median.
 
 Each end carries the eps the search knows there: -1 at vmin, +1 at vmax,
-then the eps of the comparison that moved it (exact mode's partition
-count; None, unknown, in sampled mode).  When both ends carry one, the
-probe is where the chord through them crosses 0, w*lower + (1-w)*upper
-with w = eps_upper/(eps_upper - eps_lower), a form that cannot overflow,
-and an end kept twice running has its eps halved (Illinois).  After a
-step that kept a share k > 1/2 of its bracket, w is clamped to
-[1 - 1/(2k), 1/(2k)]: the midpoint after a step that kept it all.  The
-probe is also the midpoint when an end's eps is unknown or the chord's
-root is not strictly inside the bracket.  So the first probe is the
-midpoint, a sampled search probes only midpoints, and every two steps at
-least halve the bracket: with delta = 0 the stop rule holds on any value
-scale, in at most about 4,200 steps, twice the halvings that span the
-finite doubles down to their smallest spacing.
+then the eps of the comparison that moved it: exact mode's partition
+count, or in sampled mode the deciding rung's linear reading of its hit
+counts (``estimator._arm_test``), which has the answer's sign and is exact
+at |eps| = ACCEPT_FACTOR*delta.  The probe is where the chord through them
+crosses 0, w*lower + (1-w)*upper with w = eps_upper/(eps_upper -
+eps_lower), a form that cannot overflow, and an end kept twice running has
+its eps halved (Illinois).  After a step that kept a share k > 1/2 of its
+bracket, w is clamped to [1 - 1/(2k), 1/(2k)]: the midpoint after a step
+that kept it all.  The probe is also the midpoint when the chord's root is
+not strictly inside the bracket.  So the first probe is the midpoint, and
+every two steps at least halve the bracket, however far a sampled reading
+is off: with delta = 0 the stop rule holds on any value scale, in at most
+about 4,200 steps, twice the halvings that span the finite doubles down to
+their smallest spacing.  The eps only places probes; every move of an end
+follows the comparison's answer, so the stop rule and its rank bound do
+not depend on it.
 
 A sampled step starts the ladder at the finest rung the bracket allows,
 not at the top.  The rung that decided at a bracket end, i > 0, bounds that
 end's |eps| below ACCEPT_FACTOR times rung i-1's offset: rung i-1 stayed
 undecided there, or the bracket bounded it already.  eps(mu) does not
-decrease as mu grows, so the midpoint's eps lies between its ends' and
-obeys the looser of their two bounds; that is the bound a walk from the top
+decrease as mu grows, so the probe's eps lies between its ends' and obeys
+the looser of their two bounds; that is the bound a walk from the top
 reaches before it runs the smaller of the two ends' rungs, so the step
 starts there.  vmin and vmax carry rung 0.  An end that moves inward keeps
 the larger of its old rung and the one that moved it: the new end's eps has
@@ -40,7 +44,8 @@ the decided sign and lies between 0 and the old end's.  Each bound holds
 with the test's confidence, 1 - 2*exp(-2*KAPPA^2) (``estimator.KAPPA``),
 the argument by which a finer rung trusts its sign within one walk, and
 every rung that runs draws from its own sub-stream exactly as in a walk
-from the top.
+from the top: the deciding rung reads the same counts, so the same eps,
+and the next probe lands where a walk from the top would put it.
 """
 
 from __future__ import annotations

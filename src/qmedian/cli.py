@@ -209,7 +209,8 @@ def cmd_median(ns) -> int:
     )
     sys.stderr.write(
         "note: each step asks whether more than half of the values lie below a probe "
-        "(exact mode: where the ends' imbalances put the median; sampled: the midpoint), "
+        "placed where the bracket ends' imbalances put the median (exact mode reads them "
+        "off the partition, sampled mode off the arm ladder's hit counts), "
         "and the search stops where that cannot be told: exact mode at a split of exactly "
         "half, sampled mode at a probe whose |imbalance| the arm ladder leaves below "
         "0.2*eps-min; values equal to a threshold count as above it.\n"

@@ -44,7 +44,8 @@ count alpha from the precision target theta (``driver.choose_beta``,
 
 The median search needs none of this: ``more_than_half_below`` answers its
 one comparison per step from the partition's count or the ladder alone,
-walked from the rung the search's bracket allows (``adaptive``).
+walked from the rung the search's bracket allows (``adaptive``), with the
+deciding rung's linear reading of eps to place the next probe.
 """
 
 from __future__ import annotations
@@ -186,15 +187,6 @@ def _fit(f_hat: float, alpha: Optional[int], beta: int, eps_hi: float,
     return m, (lo, hi)
 
 
-def _gated_sign(stat: float, gate: float) -> Optional[int]:
-    """+1 or -1 when stat clears the gate on that side, None inside it."""
-    if stat > gate:
-        return 1
-    if stat < -gate:
-        return -1
-    return None
-
-
 def _chernoff_exponent(p_a: np.ndarray, p_b: np.ndarray, t: float) -> np.ndarray:
     """Per-pair Chernoff exponent of the lower tail P(mean of A - B <= t),
     A ~ Bernoulli(p_a) and B ~ Bernoulli(p_b) independent, elementwise:
@@ -279,7 +271,8 @@ def _arm_design(size: int, scale: float) -> Tuple[float, int, int, float, float]
     return delta, beta, math.ceil(2.0 * KAPPA * KAPPA / rate), offset, gate
 
 
-def _arm_test(o: ThresholdOracle, seed: int, scale: float) -> Optional[int]:
+def _arm_test(o: ThresholdOracle, seed: int,
+              scale: float) -> Tuple[Optional[int], Optional[float]]:
     """One two-arm sign test at the offset nearest scale (``_arm_design``).
 
     Arm s (+1, -1) is alpha_s Bernoulli draws of f((eps + s*delta)/2, beta'),
@@ -291,13 +284,26 @@ def _arm_test(o: ThresholdOracle, seed: int, scale: float) -> Optional[int]:
     independent pair differences (the arms share no draw), and the design's
     Chernoff sizing keeps both a wrong sign and a miss at |eps| >=
     ACCEPT_FACTOR*delta at probability exp(-2*KAPPA^2) or below, for every
-    |eps| the rung can see.  Returns +1 or -1 when it clears the design's
-    gate, None inside it.
+    |eps| the rung can see.  Returns (sign, eps): +1 or -1 when the
+    statistic clears the design's gate, with a linear reading of eps off
+    the same statistic, ACCEPT_FACTOR*delta*stat/(2*gate) clipped to
+    [-1, 1], at no extra draw; (None, None) inside the gate.  The gate is
+    half the smaller contrast at eps = +-ACCEPT_FACTOR*delta, so in
+    expectation the reading is exact there (within 3% on the other side),
+    and a decided one has the sign's direction and at least half that
+    magnitude.  Elsewhere it is only a point reading, since the contrast is
+    not linear in eps: 0.7x the true eps at 0.8*delta below the top rung,
+    and on the top rung 0.82x at 0.5 and 0.07x at 1.  That is good enough
+    to place the median search's next probe, which is all it is used for.
     """
     delta, beta, alpha, offset, gate = _arm_design(o.size, scale)
     up, down = bernoulli_counts(seed, alpha, (predicted_fraction((o.eps + delta) / 2.0, beta),
                                               predicted_fraction((o.eps - delta) / 2.0, beta)))
-    return _gated_sign((up - down) / alpha - offset, gate)
+    stat = (up - down) / alpha - offset
+    if -gate <= stat <= gate:
+        return None, None
+    eps = min(max(ACCEPT_FACTOR * delta * stat / (2.0 * gate), -1.0), 1.0)
+    return (1 if stat > 0.0 else -1), eps
 
 
 def _ladder(eps0: float) -> Iterator[float]:
@@ -311,11 +317,11 @@ def _ladder(eps0: float) -> Iterator[float]:
 
 
 def _arm_sign(o: ThresholdOracle, seed: int, eps0: float,
-              start: int = 0) -> Tuple[Optional[int], int]:
+              start: int = 0) -> Tuple[Optional[int], int, Optional[float]]:
     """Sampled-mode sign from the first decided rung of a ladder of two-arm
     tests, coarsest first from rung ``start``, with the index of the rung
-    that decided it; (None, the ladder's length) when every rung stays
-    undecided.
+    that decided it and that rung's reading of eps (``_arm_test``); (None,
+    the ladder's length, None) when every rung stays undecided.
 
     Rung i runs ``_arm_test`` at offset ``_ladder(eps0)``'s i-th scale on the
     sub-stream derive_seed(derive_seed(seed, SALT_ARMS), i), whatever rung
@@ -336,10 +342,10 @@ def _arm_sign(o: ThresholdOracle, seed: int, eps0: float,
     stream = derive_seed(seed, SALT_ARMS)
     scales = list(_ladder(eps0))
     for rung in range(start, len(scales)):
-        sign = _arm_test(o, derive_seed(stream, rung), scales[rung])
+        sign, eps = _arm_test(o, derive_seed(stream, rung), scales[rung])
         if sign is not None:
-            return sign, rung
-    return None, len(scales)
+            return sign, rung, eps
+    return None, len(scales), None
 
 
 def more_than_half_below(d: Dataset, mu: float, eps_min: float,
@@ -358,14 +364,16 @@ def more_than_half_below(d: Dataset, mu: float, eps_min: float,
     1 - 2*exp(-2*KAPPA^2).  A decided rung i > 0 also bounds |eps| below
     ACCEPT_FACTOR times rung i-1's offset, with that confidence: rung i-1
     stayed undecided here, or the caller's ``start`` already bounded it.
-    Sampled mode reads a sign, not a magnitude, so its eps is None.  Either
-    way it builds one oracle and makes no classical draw.
+    Its eps is the deciding rung's linear reading of its hit counts
+    (``_arm_test``): the answer's sign, a rough magnitude, and None when
+    the answer is None.  Either way it builds one oracle and makes no
+    classical draw.
     """
     o = make_oracle(d, mu)
     if mode == "exact":
         return (o.eps > 0.0 if o.eps else None), 0, o.eps
-    sign, rung = _arm_sign(o, seed, eps_min, start)
-    return None if sign is None else sign == 1, rung, None
+    sign, rung, eps = _arm_sign(o, seed, eps_min, start)
+    return None if sign is None else sign == 1, rung, eps
 
 
 def eps_est(
@@ -408,7 +416,7 @@ def eps_est(
         # f(-eps0) is lower, and would read noise on an in-bracket negative
         # imbalance as overflow more often
         overflow = res.f_hat > predicted_fraction(eps0, beta) + _TOP_TOL
-        sgn, _ = _arm_sign(o, seed, eps0)
+        sgn, _, _ = _arm_sign(o, seed, eps0)
     if overflow:
         m, ci = eps0, (eps0, 1.0)
     else:

@@ -69,8 +69,12 @@ def test_adaptive_sampled_cost_grows_as_one_over_eps(monkeypatch):
             d, _ = synth_dataset(14, sign * mag, 0.5, seed)
             below, _, eps = estimator.more_than_half_below(d, 0.5, 0.002, mode="sampled",
                                                            seed=seed)
-            assert eps is None  # a sampled comparison reads no magnitude
             assert below in (None, sign == 1), (mag, seed)
+            # a decided comparison reads an eps of its answer's sign, an
+            # undecided one none
+            assert (eps is None) == (below is None), (mag, seed)
+            if below is not None:
+                assert (eps > 0.0) == below, (mag, seed, eps)
         passes.append(cost["passes"])
         total.append(cost["passes"] + cost["classical"])
     x = np.log([1.0 / mag for mag in mags])
@@ -130,7 +134,10 @@ def test_sampled_search_arm_passes_sized_for_the_loop(monkeypatch):
     # the halved-draws searches again, counting the arms' loop passes, the
     # paper's cost: rungs below the top at floor(0.45/delta) passes, each
     # sized by Hoeffding, spent 1,485,031.67 passes and 246,803.67 draws per
-    # search here
+    # search here.  Probes at the midpoint on today's rungs spent 449,055.33
+    # passes and 68,822.67 draws; chord probes run fewer steps and so fewer
+    # top-rung walks, while each search still ends on an undecided last
+    # rung, whose passes stay
     cost = {"passes": 0, "draws": 0}
     arms = estimator._arm_test
 
@@ -151,7 +158,24 @@ def test_sampled_search_arm_passes_sized_for_the_loop(monkeypatch):
         assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, i
     assert cost["passes"] / 6 <= 0.5 * 1485031.67
     assert cost["draws"] / 6 <= 0.4 * 246803.67
+    assert cost["passes"] / 6 <= 0.9 * 449055.33
+    assert cost["draws"] / 6 <= 0.6 * 68822.67
     assert drawn[0] == cost["draws"]  # the kernel draws what the designs size
+
+
+def test_sampled_search_steps_on_the_benchmark_shape():
+    # the halved-draws datasets again: the deciding rung's eps reading puts
+    # each probe where the chord crosses 0, as exact mode's count does;
+    # midpoints took 8.67 steps a search on these, the chord 2.83
+    steps = []
+    for i in range(6):
+        vals = np.random.default_rng([5, i]).random(1 << 14) * 1000.0
+        d = dataset_from_values(vals)
+        mu_hat, run, _ = median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.01,
+                                               mode="sampled", seed=i)
+        assert abs(rank_below(d, mu_hat) - (1 << 13)) <= 0.01 * (1 << 14) + 2, i
+        steps.append(run)
+    assert np.mean(steps) <= 4, steps
 
 
 def _search_values(bits, kind, i):
@@ -178,29 +202,61 @@ def _recorded_search(monkeypatch, d, vmin, vmax, delta, eps_min, seed):
     return result, calls
 
 
-def _cold_search(d, vmin, vmax, delta, eps_min, seed):
-    """Bisection whose every step walks the ladder from the top rung."""
-    lower, upper = vmin, vmax
-    mu, decisions = 0.5 * lower + 0.5 * upper, []
+def _reference_search(vmin, vmax, delta, compare, chord=True):
+    """The search restated on its own: compare(mu, step) answers whether
+    more than half of the values lie below mu (None: it cannot tell) with
+    the eps it reads there.  More than half below moves the upper end,
+    fewer the lower one, and None stops the search, as does a bracket no
+    wider than delta or with adjacent ends.  Each end keeps its eps (-1 and
+    +1 at vmin and vmax), halved when the end is kept twice running, and
+    the probe is where the chord through them crosses 0, clamped so that
+    every two steps at least halve the bracket.  chord=False probes the
+    midpoint: plain bisection.  Returns the last probe and each step's
+    (probe, answer)."""
+    lower, upper, eps_lower, eps_upper = vmin, vmax, -1.0, 1.0
+    mu, decisions, side, kept = 0.5 * lower + 0.5 * upper, [], 0, 0.5
     while upper - lower > delta:
-        mu = 0.5 * lower + 0.5 * upper
+        w = 0.5
+        if chord:
+            limit = 0.5 / kept  # the bracket two steps back, over twice this one
+            w = min(max(eps_upper / (eps_upper - eps_lower), 1.0 - limit), limit)
+        mu = w * lower + (1.0 - w) * upper
         if not lower < mu < upper:
-            break
-        below, _, _ = estimator.more_than_half_below(d, mu, eps_min, "sampled",
-                                                     derive_seed(seed, len(decisions)))
+            w, mu = 0.5, 0.5 * lower + 0.5 * upper
+            if not lower < mu < upper:
+                break
+        below, eps = compare(mu, len(decisions))
         decisions.append((mu, below))
         if below is None:
             break
         if below:
-            upper = mu
+            upper, eps_upper, kept = mu, eps, 1.0 - w
+            if side > 0:
+                eps_lower *= 0.5
+            side = 1
         else:
-            lower = mu
+            lower, eps_lower, kept = mu, eps, w
+            if side < 0:
+                eps_upper *= 0.5
+            side = -1
     return mu, decisions
 
 
+def _cold_search(d, vmin, vmax, delta, eps_min, seed, chord=True):
+    """The sampled search whose every step walks the ladder from the top
+    rung and reads its eps off the deciding rung."""
+    def compare(mu, step):
+        below, _, eps = estimator.more_than_half_below(d, mu, eps_min, "sampled",
+                                                       derive_seed(seed, step))
+        return below, eps
+
+    return _reference_search(vmin, vmax, delta, compare, chord)
+
+
 def test_warm_started_search_decides_like_a_cold_ladder(monkeypatch):
-    # every step answers as a walk from the top rung would, so the search
-    # returns what it returned before it skipped rungs; vmin and vmax bound
+    # every step answers as a walk from the top rung would, and its deciding
+    # rung draws the same sub-stream, so it reads the same eps and the next
+    # probe lands where a cold search puts it; vmin and vmax bound
     # nothing about eps, so a step whose bracket still has either as an end
     # walks the whole ladder
     later_starts = []
@@ -287,40 +343,14 @@ def test_median_search_sampled_mode():
 
 
 def _count_search(d, vmin, vmax, delta, chord=True):
-    """The exact search on the data's own count: more than half below moves
-    the upper end, fewer the lower one, and exactly half stops it, as does a
-    bracket no wider than delta or with adjacent ends.  Each end keeps its
-    eps = (2*#below - N)/N (-1 and +1 at vmin and vmax), halved when the end
-    is kept twice running, and the probe is where the chord through them
-    crosses 0, clamped so that every two steps at least halve the bracket.
-    chord=False probes the midpoint: plain bisection."""
-    lower, upper, eps_lower, eps_upper = vmin, vmax, -1.0, 1.0
-    mu, steps, side, kept = 0.5 * lower + 0.5 * upper, 0, 0, 0.5
-    while upper - lower > delta:
-        w = 0.5
-        if chord:
-            limit = 0.5 / kept  # the bracket two steps back, over twice this one
-            w = min(max(eps_upper / (eps_upper - eps_lower), 1.0 - limit), limit)
-        mu = w * lower + (1.0 - w) * upper
-        if not lower < mu < upper:
-            w, mu = 0.5, 0.5 * lower + 0.5 * upper
-            if not lower < mu < upper:
-                break
-        steps += 1
+    """The exact search on the data's own count, eps = (2*#below - N)/N;
+    exactly half below stops it.  Returns (last probe, steps)."""
+    def compare(mu, step):
         excess = 2 * rank_below(d, mu) - d.size
-        if excess == 0:
-            break
-        if excess > 0:
-            upper, eps_upper, kept = mu, excess / d.size, 1.0 - w
-            if side > 0:
-                eps_lower *= 0.5
-            side = 1
-        else:
-            lower, eps_lower, kept = mu, excess / d.size, w
-            if side < 0:
-                eps_upper *= 0.5
-            side = -1
-    return mu, steps
+        return (excess > 0 if excess else None), excess / d.size
+
+    mu, decisions = _reference_search(vmin, vmax, delta, compare, chord)
+    return mu, len(decisions)
 
 
 def _skewed_values(kind, size=2**14):
@@ -334,6 +364,24 @@ def _skewed_values(kind, size=2**14):
     if kind == "lognormal":
         return rng.lognormal(0.0, 4.0, size)
     return rng.standard_cauchy(size)
+
+
+def test_sampled_search_steps_within_twice_bisection_on_skewed_data():
+    # chord probes on the sampled readings cost at most twice the steps of
+    # midpoint probes on the same signs (+1 for an odd count), on one far
+    # outlier, a heavy lognormal tail and Cauchy values, and keep the rank
+    # bound; the search has no width stop
+    size = 2**14
+    for kind in ("outlier", "lognormal", "cauchy"):
+        vals = _skewed_values(kind, size)
+        d = dataset_from_values(vals)
+        vmin, vmax = float(vals.min()), float(vals.max())
+        for seed in range(2):
+            mu_hat, steps, _ = median_search_counted(d, vmin, vmax, 0.0, 0.01,
+                                                     mode="sampled", seed=seed)
+            plain = len(_cold_search(d, vmin, vmax, 0.0, 0.01, seed, chord=False)[1])
+            assert steps <= 2 * plain + 1, (kind, seed, steps, plain)
+            assert abs(rank_below(d, mu_hat) - size // 2) <= 0.01 * size + 2, (kind, seed)
 
 
 def _exact_inputs():

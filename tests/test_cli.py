@@ -151,6 +151,7 @@ def test_median_output_and_note(data32, capsys):
     rec = json.loads(captured.out)
     jsonschema.validate(rec, _schema("median"))
     assert "more than half of the values lie below a probe" in captured.err
+    assert "where the bracket ends' imbalances put the median" in captured.err
     # the first probe, the midpoint, splits the values exactly in half and
     # ends the search
     assert (rec["mu_hat"], rec["steps"], rec["rank_below"]) == (15.5, 1, 16)

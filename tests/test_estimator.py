@@ -429,10 +429,34 @@ def test_arm_ladder_sign_is_right_or_undecided(eps0):
         for sign in (1, -1):
             for seed in range(3):
                 d, _ = synth_dataset(14, sign * mag, 0.5, seed)
-                got, _ = estimator._arm_sign(make_oracle(d, 0.5), seed, eps0)
+                got, _, _ = estimator._arm_sign(make_oracle(d, 0.5), seed, eps0)
                 assert got in (sign, None), (mag, sign, seed)
                 if mag >= 0.3:
                     assert got == sign, (mag, sign, seed)
+
+
+def test_arm_test_reads_eps_only_when_it_decides():
+    # a decided test reads eps linearly off the statistic that cleared the
+    # gate, ACCEPT_FACTOR*delta*stat/(2*gate): past the gate it has the
+    # sign's direction and at least half the test's resolution, and it never
+    # leaves [-1, 1]; an undecided test reads nothing
+    decided = undecided = 0
+    for scale in estimator._ladder(0.01):
+        half = estimator.ACCEPT_FACTOR * _arm_design(1 << 14, scale)[0] / 2
+        for mag in (0.0, 0.001, 0.004, 0.02, 0.3, 0.98):
+            for sign in (1, -1):
+                for seed in range(3):
+                    d, _ = synth_dataset(14, sign * mag, 0.5, seed)
+                    got, eps = estimator._arm_test(make_oracle(d, 0.5), seed, scale)
+                    where = (scale, sign * mag, seed)
+                    if got is None:
+                        undecided += 1
+                        assert eps is None, where
+                    else:
+                        decided += 1
+                        assert got * eps >= half, (where, eps)
+                        assert abs(eps) <= 1.0, (where, eps)
+    assert decided and undecided
 
 
 def _fractions(eps, beta):
@@ -530,11 +554,11 @@ def test_sampled_outputs_are_pinned():
         for theta in (0.1, 0.01):
             for seed in (0, 1):
                 lines.append(repr(eps_est(d, mu, theta=theta, mode="sampled", seed=seed)))
-    assert lines[:6] == ["(497.0703125, 10, 10)", "(494.140625, 9, 9)",
-                         "(505.37109375, 11, 11)", "(496.09375, 8, 8)",
-                         "(507.8125, 7, 7)", "(507.8125, 7, 7)"]
+    assert lines[:6] == ["(497.8844373556262, 2, 2)", "(493.48547492729045, 2, 2)",
+                         "(505.4899964650848, 6, 6)", "(495.8997944919754, 3, 3)",
+                         "(508.0794359927925, 2, 2)", "(507.52496328466793, 2, 2)"]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "6bc8027ffb60af78dc92b8a3cb26ba71d608ddb892ff075aa6957500fbf2bff0")
+        "42d0fb97f77f7e9ed92aeaa68200170f73b76fd8edc95f0ffd576ab71be1bc60")
 
 
 def test_exact_outputs_are_pinned():
@@ -615,7 +639,7 @@ def test_sampled_sign_in_bracket_makes_no_classical_draw(monkeypatch):
     d = dataset_from_values(values)
     mu_hat, steps, _ = median_search_counted(d, 0.0, 1000.0, 1000.0 / 2**20, 0.002,
                                              mode="sampled", seed=1)
-    assert steps == 13  # 12 midpoints decided; the search stopped at the 13th
+    assert steps == 3  # 2 probes decided; the search stopped at the 3rd
     assert abs(int(np.count_nonzero(values < mu_hat)) - (1 << 13)) <= 0.01 * (1 << 14) + 2
 
 
